@@ -7,7 +7,7 @@ import datetime
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +307,8 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
         for p, h in order:
             note(_cell_task((train_series, test_series, p, h, grid)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             pending = {
                 pool.submit(_cell_task, (train_series, test_series, p, h, grid))
                 for p, h in order
@@ -316,6 +317,12 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
                     note(future.result())
+        except BaseException:
+            # a failing sink, callback or worker ends the sweep after the
+            # cells already running, not after every queued cell
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown()
 
     cells = [v for v in outcomes.values() if isinstance(v, CellResult)]
     failures = [v for v in outcomes.values() if isinstance(v, CellFailure)]
@@ -351,14 +358,7 @@ def _config_to_json(config: GridConfig) -> dict:
     return {
         "input_levels": list(config.input_levels),
         "hidden_levels": list(config.hidden_levels),
-        "train_cfg": {
-            "learning_rate": cfg.learning_rate,
-            "max_epochs": cfg.max_epochs,
-            "min_sse_delta": cfg.min_sse_delta,
-            "restarts": cfg.restarts,
-            "init_half_width": cfg.init_half_width,
-            "master_seed": cfg.master_seed,
-        },
+        "train_cfg": {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)},
         "horizons": [[label, length] for label, length in config.horizon_spec.windows],
         "scale": config.scale,
     }
@@ -437,8 +437,9 @@ def load_report(source) -> GridReport:
     """Read a report written by save_report / run_grid.
 
     Raises ReportVersionError for an unsupported version tag and
-    ReportFormatError for corrupt or truncated payloads (including a record
-    count short of the grid declared in the header).
+    ReportFormatError for corrupt or truncated payloads, including a record
+    count short of the grid declared in the header, a cell off that grid, and
+    metric rows whose horizon labels differ from the header's.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -470,6 +471,27 @@ def load_report(source) -> GridReport:
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ReportFormatError(f"corrupt report header: {exc}") from None
 
+    grid = {(p, h) for p in config.input_levels for h in config.hidden_levels}
+    labels = config.horizon_spec.labels
+
+    def horizon_rows(obj):
+        rows = _labelled_rows_from_json(obj)
+        if tuple(label for label, _ in rows) != labels:
+            raise ReportFormatError(
+                f"horizon labels {[label for label, _ in rows]} differ from the "
+                f"header's {list(labels)}"
+            )
+        return rows
+
+    def grid_key(obj):
+        key = (int(obj["p"]), int(obj["h"]))
+        if key not in grid:
+            raise ReportFormatError(f"cell record {key} is off the header's grid")
+        if key in seen:
+            raise ReportFormatError(f"duplicate cell record {key}")
+        seen.add(key)
+        return key
+
     rw_rows = None
     cells = []
     failures = []
@@ -481,29 +503,21 @@ def load_report(source) -> GridReport:
             if kind == "random_walk":
                 if rw_rows is not None:
                     raise ReportFormatError("duplicate random_walk record")
-                rw_rows = _labelled_rows_from_json(obj["rows"])
+                rw_rows = horizon_rows(obj["rows"])
             elif kind == "cell":
-                key = (obj["p"], obj["h"])
-                if key in seen:
-                    raise ReportFormatError(f"duplicate cell record {key}")
-                seen.add(key)
+                p, h = grid_key(obj)
                 cells.append(
                     CellResult(
-                        p=int(obj["p"]),
-                        h=int(obj["h"]),
+                        p=p,
+                        h=h,
                         in_sample=_row_from_json(obj["in_sample"]),
-                        out_sample=_labelled_rows_from_json(obj["out_sample"]),
+                        out_sample=horizon_rows(obj["out_sample"]),
                         best_sse=float(obj["best_sse"]),
                     )
                 )
             elif kind == "failure":
-                key = (obj["p"], obj["h"])
-                if key in seen:
-                    raise ReportFormatError(f"duplicate cell record {key}")
-                seen.add(key)
-                failures.append(
-                    CellFailure(p=int(obj["p"]), h=int(obj["h"]), error=str(obj["error"]))
-                )
+                p, h = grid_key(obj)
+                failures.append(CellFailure(p=p, h=h, error=str(obj["error"])))
             else:
                 raise ReportFormatError(f"unknown record type {kind!r} on line {index + 1}")
         except (KeyError, TypeError, ValueError) as exc:

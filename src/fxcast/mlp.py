@@ -4,6 +4,7 @@ full-batch gradient-descent training, and best-of-K restart search."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -35,56 +36,49 @@ _DIFFERENTIABLE = (Activation.PURE_LINEAR, Activation.SIGMOID, Activation.TANSIG
 
 
 def _activate_inplace(kind: Activation, z: np.ndarray) -> np.ndarray:
-    """Apply an activation, overwriting ``z`` where the formula allows."""
+    """Apply an activation to the float array ``z``, overwriting it.
+
+    The sigmoid's exp overflows for very negative z, and 1/(1+inf) -> 0 is
+    exactly the right limit; callers run this under
+    ``np.errstate(over="ignore")``, which costs too much to enter per epoch.
+    """
     if kind is Activation.PURE_LINEAR:
         return z
     if kind is Activation.SIGMOID:
-        # 1/(1+exp(-z)); exp may overflow for very negative z, and
-        # 1/(1+inf) -> 0 is exactly the right limit
         np.negative(z, out=z)
-        with np.errstate(over="ignore"):
-            np.exp(z, out=z)
+        np.exp(z, out=z)
         z += 1.0
         return np.reciprocal(z, out=z)
     if kind is Activation.TANSIGMOID:
         return np.tanh(z, out=z)
     if kind is Activation.HARD_LIMIT:
-        return np.where(z >= 0.0, 1.0, 0.0)
+        return np.greater_equal(z, 0.0, out=z)
     raise DataError(f"unknown activation {kind!r}")
 
 
-def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
-    if kind in (Activation.PURE_LINEAR, Activation.HARD_LIMIT):
-        return _activate_inplace(kind, z)
-    return _activate_inplace(kind, np.array(z, dtype=float))
+def _slope(kind: Activation, activ: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Activation slope at each element, written into ``out``.
 
-
-def _scale_by_slope_inplace(kind: Activation, delta: np.ndarray,
-                            activ: np.ndarray) -> np.ndarray:
-    """delta *= activation slope, with the slope built by destroying ``activ``.
-
-    Slopes are expressed through the activation output: 1 for pure_linear,
-    a(1-a) for sigmoid, 1-a^2 for tansigmoid.
+    Slopes are expressed through the activation output ``activ``: 1 for
+    pure_linear, a(1-a) for sigmoid, 1-a^2 for tansigmoid.
     """
     if kind is Activation.PURE_LINEAR:
-        return delta
+        out.fill(1.0)
+        return out
     if kind is Activation.SIGMOID:
-        delta *= activ
-        np.subtract(1.0, activ, out=activ)
-        delta *= activ
-        return delta
+        np.multiply(activ, activ, out=out)
+        return np.subtract(activ, out, out=out)
     if kind is Activation.TANSIGMOID:
-        np.multiply(activ, activ, out=activ)
-        np.subtract(1.0, activ, out=activ)
-        delta *= activ
-        return delta
+        np.multiply(activ, activ, out=out)
+        return np.subtract(1.0, out, out=out)
     raise NonDifferentiableError(f"{kind.value} has no derivative")
 
 
 def activate(kind: Activation, x):
     """Apply a transfer function to a scalar or array of finite values."""
     arr = np.asarray(x, dtype=float)
-    out = _apply_activation(kind, np.atleast_1d(arr))
+    with np.errstate(over="ignore"):
+        out = _activate_inplace(kind, np.array(arr, ndmin=1))
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -263,6 +257,50 @@ def _check_window(net: Mlp, data: WindowedDataset):
         )
 
 
+def _with_ones_row(rows: int, n: int) -> np.ndarray:
+    """An uninitialised (rows + 1, n) array whose last row is ones.
+
+    The ones row is the constant input that a layer's bias weight multiplies,
+    so each layer's affine map is one matrix product.
+    """
+    buf = np.empty((rows + 1, n))
+    buf[rows] = 1.0
+    return buf
+
+
+def _forward(w1, w2, hidden_act, output_act, inputs_t, hidden, out):
+    """Network outputs for the (p + 1, n) transposed, ones-extended inputs.
+
+    ``w1`` is (h, p + 1) with the hidden biases in its last column and ``w2``
+    is (h + 1,) with the output bias last. Writes the hidden activations into
+    the first h rows of the (h + 1, n) ``hidden``, whose last row is ones, and
+    the n outputs into ``out``, which it returns. Training and prediction
+    share this one routine, so a trained network's SSE and the SSE
+    recomputed from its predictions round identically.
+    """
+    units = hidden[:-1]
+    np.dot(w1, inputs_t, out=units)
+    _activate_inplace(hidden_act, units)
+    np.dot(w2, hidden, out=out)
+    return _activate_inplace(output_act, out)
+
+
+def predict(net: Mlp, inputs) -> np.ndarray:
+    """Network outputs for a matrix of input patterns, one row per pattern."""
+    x = np.asarray(inputs, dtype=float)
+    p, h = net.arch.input_count, net.arch.hidden_count
+    if x.ndim != 2 or x.shape[1] != p:
+        raise DataError(f"input matrix shape {x.shape} does not match (n, {p})")
+    n = x.shape[0]
+    inputs_t = _with_ones_row(p, n)
+    inputs_t[:p] = x.T
+    params = _Params.of(net)
+    with np.errstate(over="ignore"):
+        return _forward(params.w1, params.w2, net.arch.hidden_activation,
+                        net.arch.output_activation, inputs_t, _with_ones_row(h, n),
+                        np.empty(n))
+
+
 def forward(net: Mlp, input) -> float:
     """Network output for a single input pattern of length p."""
     x = np.asarray(input, dtype=float)
@@ -270,25 +308,7 @@ def forward(net: Mlp, input) -> float:
         raise DataError(
             f"input shape {x.shape} does not match ({net.arch.input_count},)"
         )
-    hidden = _apply_activation(
-        net.arch.hidden_activation, net.hidden_weights @ x + net.hidden_biases
-    )
-    z = float(net.output_weights @ hidden) + net.output_bias
-    return activate(net.arch.output_activation, z)
-
-
-def predict(net: Mlp, inputs) -> np.ndarray:
-    """Network outputs for a matrix of input patterns, one row per pattern."""
-    x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[1] != net.arch.input_count:
-        raise DataError(
-            f"input matrix shape {x.shape} does not match (n, {net.arch.input_count})"
-        )
-    hidden = _apply_activation(
-        net.arch.hidden_activation, x @ net.hidden_weights.T + net.hidden_biases
-    )
-    out = hidden @ net.output_weights + net.output_bias
-    return _apply_activation(net.arch.output_activation, out)
+    return float(predict(net, x[None, :])[0])
 
 
 def sse(net: Mlp, data: WindowedDataset) -> float:
@@ -298,52 +318,88 @@ def sse(net: Mlp, data: WindowedDataset) -> float:
     return float(resid @ resid)
 
 
-class _Workspace:
-    """Preallocated intermediates for repeated gradient evaluations.
+class _Params:
+    """Views of one flat parameter vector.
 
-    Reallocating the (n, h) temporaries every epoch costs ~3x the arithmetic
+    The layout is w1 as an (h, p + 1) row-major matrix, each hidden unit's p
+    weights followed by its bias, then the h output weights and the output
+    bias. Training updates the whole vector with one elementwise expression,
+    and the kernel reads and writes the layers through these fixed views.
+    """
+
+    __slots__ = ("flat", "w1", "w2", "w2_col")
+
+    def __init__(self, flat: np.ndarray, p: int, h: int):
+        split = h * (p + 1)
+        self.flat = flat
+        self.w1 = flat[:split].reshape(h, p + 1)
+        self.w2 = flat[split:]
+        self.w2_col = self.w2[:h, None]
+
+    @classmethod
+    def of(cls, net: Mlp) -> "_Params":
+        p, h = net.arch.input_count, net.arch.hidden_count
+        params = cls(np.empty(h * (p + 1) + h + 1), p, h)
+        params.w1[:, :p] = net.hidden_weights
+        params.w1[:, p] = net.hidden_biases
+        params.w2[:h] = net.output_weights
+        params.w2[h] = net.output_bias
+        return params
+
+    def layers(self):
+        """Copies of (hidden weights, hidden biases, output weights, output bias)."""
+        return (self.w1[:, :-1].copy(), self.w1[:, -1].copy(), self.w2[:-1].copy(),
+                float(self.w2[-1]))
+
+
+class _Workspace:
+    """The transposed training inputs plus preallocated intermediates.
+
+    Reallocating the (h, n) temporaries every epoch costs ~3x the arithmetic
     itself (large blocks come straight from mmap and fault in each time), so
     the training loop owns one workspace and every evaluation writes into it.
     """
 
-    def __init__(self, n: int, p: int, h: int):
-        self.z = np.empty((n, h))
-        self.z2 = np.empty(n)
-        self.resid = np.empty(n)
-        self.dh = np.empty((n, h))
-        self.g_w1 = np.empty((h, p))
-        self.g_b1 = np.empty(h)
-        self.g_w2 = np.empty(h)
+    def __init__(self, data: WindowedDataset, h: int):
+        n, p = data.inputs.shape
+        self.inputs_t = _with_ones_row(p, n)
+        self.inputs_t[:p] = data.inputs.T
+        self.targets = data.targets
+        self.hidden = _with_ones_row(h, n)
+        self.units = self.hidden[:h]
+        self.out = np.empty(n)
+        self.delta = np.empty(n)
+        self.out_slope = np.empty(n)
+        self.scaled_t = np.empty((p + 1, n))
+        self.slope = np.empty((h, n))
+        self.grad = _Params(np.empty(h * (p + 1) + h + 1), p, h)
 
 
-def _sse_and_gradient(w1, b1, w2, b2, hidden_act, output_act, inputs, targets,
-                      work: _Workspace | None = None):
-    """Fused objective and gradient at raw parameter arrays.
+def _sse_and_gradient(params: _Params, hidden_act, output_act, work: _Workspace) -> float:
+    """Fused objective and gradient at ``params``.
 
-    Returns views into ``work``; the caller must consume them before the
-    next evaluation against the same workspace.
+    Returns the SSE and leaves the gradient in ``work.grad``; the caller must
+    consume it before the next evaluation against the same workspace.
+
+    With d the output deltas and S the hidden slopes, the hidden-layer
+    gradient is w2_j * sum_n S[j, n] * d[n] * x[n]: d scales the (p + 1, n)
+    inputs rather than the (h, n) slopes, and w2 scales the (h, p + 1)
+    product, so no (h, n) outer product is formed.
     """
-    if work is None:
-        work = _Workspace(inputs.shape[0], inputs.shape[1], w1.shape[0])
-    z = work.z
-    np.dot(inputs, w1.T, out=z)
-    z += b1
-    hidden = _activate_inplace(hidden_act, z)
-    np.dot(hidden, w2, out=work.z2)
-    work.z2 += b2
-    out = _activate_inplace(output_act, work.z2)
-    np.subtract(out, targets, out=work.resid)
-    delta_out = work.resid
-    total = float(delta_out @ delta_out)
-    delta_out *= 2.0
-    delta_out = _scale_by_slope_inplace(output_act, delta_out, out)
-    np.dot(hidden.T, delta_out, out=work.g_w2)
-    g_b2 = float(delta_out.sum())
-    np.outer(delta_out, w2, out=work.dh)
-    delta_hidden = _scale_by_slope_inplace(hidden_act, work.dh, hidden)
-    np.dot(delta_hidden.T, inputs, out=work.g_w1)
-    delta_hidden.sum(axis=0, out=work.g_b1)
-    return total, work.g_w1, work.g_b1, work.g_w2, g_b2
+    out = _forward(params.w1, params.w2, hidden_act, output_act,
+                   work.inputs_t, work.hidden, work.out)
+    delta = np.subtract(out, work.targets, out=work.delta)
+    total = float(delta @ delta)
+    delta *= 2.0
+    if output_act is not Activation.PURE_LINEAR:  # whose slope is 1
+        delta *= _slope(output_act, out, work.out_slope)
+    grad = work.grad
+    np.dot(work.hidden, delta, out=grad.w2)
+    np.multiply(work.inputs_t, delta, out=work.scaled_t)
+    slope = _slope(hidden_act, work.units, work.slope)
+    np.dot(slope, work.scaled_t.T, out=grad.w1)
+    grad.w1 *= params.w2_col
+    return total
 
 
 def _require_differentiable(net: Mlp):
@@ -358,19 +414,12 @@ def gradient(net: Mlp, data: WindowedDataset) -> Gradient:
     """Exact partial derivatives of sse(net, data), summed over patterns."""
     _check_window(net, data)
     _require_differentiable(net)
-    _, g_w1, g_b1, g_w2, g_b2 = _sse_and_gradient(
-        net.hidden_weights,
-        net.hidden_biases,
-        net.output_weights,
-        net.output_bias,
-        net.arch.hidden_activation,
-        net.arch.output_activation,
-        data.inputs,
-        data.targets,
-    )
-    return Gradient(
-        hidden_weights=g_w1, hidden_biases=g_b1, output_weights=g_w2, output_bias=g_b2
-    )
+    work = _Workspace(data, net.arch.hidden_count)
+    with np.errstate(over="ignore"):
+        _sse_and_gradient(
+            _Params.of(net), net.arch.hidden_activation, net.arch.output_activation, work
+        )
+    return Gradient(*work.grad.layers())
 
 
 def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
@@ -388,57 +437,42 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     _require_differentiable(net0)
     hidden_act = net0.arch.hidden_activation
     output_act = net0.arch.output_activation
-    inputs, targets = data.inputs, data.targets
+    p, h = net0.arch.input_count, net0.arch.hidden_count
     lr = cfg.learning_rate
+    min_delta = cfg.min_sse_delta
 
-    w1 = net0.hidden_weights.copy()
-    b1 = net0.hidden_biases.copy()
-    w2 = net0.output_weights.copy()
-    b2 = net0.output_bias
-    work = _Workspace(inputs.shape[0], inputs.shape[1], w1.shape[0])
+    work = _Workspace(data, h)
+    params = _Params.of(net0)
+    trial = _Params(np.empty_like(params.flat), p, h)
+    step = np.empty_like(params.flat)
+    finite = np.empty(params.flat.shape, dtype=bool)
     trace: list[float] = []
     diverged = False
     # blow-ups surface as non-finite values and are handled explicitly below,
     # so the numpy overflow warnings on a diverging run are pure noise
     with np.errstate(over="ignore", invalid="ignore"):
-        sse_prev, g_w1, g_b1, g_w2, g_b2 = _sse_and_gradient(
-            w1, b1, w2, b2, hidden_act, output_act, inputs, targets, work
-        )
+        sse_prev = _sse_and_gradient(params, hidden_act, output_act, work)
         for _ in range(cfg.max_epochs):
-            w1_new = w1 - lr * g_w1
-            b1_new = b1 - lr * g_b1
-            w2_new = w2 - lr * g_w2
-            b2_new = b2 - lr * g_b2
-            if not (
-                np.all(np.isfinite(w1_new))
-                and np.all(np.isfinite(b1_new))
-                and np.all(np.isfinite(w2_new))
-                and np.isfinite(b2_new)
-            ):
+            np.multiply(work.grad.flat, lr, out=step)
+            np.subtract(params.flat, step, out=trial.flat)
+            if not np.isfinite(trial.flat, out=finite).all():
                 diverged = True
                 break
-            sse_new, g_w1, g_b1, g_w2, g_b2 = _sse_and_gradient(
-                w1_new, b1_new, w2_new, b2_new, hidden_act, output_act,
-                inputs, targets, work,
-            )
-            if not np.isfinite(sse_new):
+            sse_new = _sse_and_gradient(trial, hidden_act, output_act, work)
+            if not math.isfinite(sse_new):
                 diverged = True
                 break
-            w1, b1, w2, b2 = w1_new, b1_new, w2_new, b2_new
+            params, trial = trial, params
             trace.append(sse_new)
             improvement = sse_prev - sse_new
             sse_prev = sse_new
-            if 0.0 <= improvement < cfg.min_sse_delta:
+            if 0.0 <= improvement < min_delta:
                 break
 
-    net = Mlp(
-        arch=net0.arch,
-        hidden_weights=w1,
-        hidden_biases=b1,
-        output_weights=w2,
-        output_bias=b2,
+    return TrainRun(
+        net=Mlp(net0.arch, *params.layers()), sse=sse_prev, sse_trace=np.array(trace),
+        diverged=diverged,
     )
-    return TrainRun(net=net, sse=sse_prev, sse_trace=np.array(trace), diverged=diverged)
 
 
 def train_multi_restart(

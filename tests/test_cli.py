@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fxcast import load_model, load_report, synthesize_series
@@ -193,6 +195,22 @@ class TestReport:
         path = tmp_path / "corrupt.fxr"
         path.write_text("not a report\n")
         assert main(["report", str(path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("record_type, field, value, view", [
+        ("cell", "p", 7, "in_sample"),  # a cell off the header's grid
+        ("random_walk", "rows", [["1m", {"rmse": 1.0, "mae": 1.0, "mape": 1.0}]],
+         "out_sample"),  # random-walk labels that differ from the horizons
+    ])
+    def test_inconsistent_report(self, report_file, record_type, field, value, view,
+                                 capsys):
+        with open(report_file) as handle:
+            records = [json.loads(line) for line in handle]
+        target = next(r for r in records if r.get("type") == record_type)
+        target[field] = value
+        with open(report_file, "w") as handle:
+            handle.writelines(json.dumps(r) + "\n" for r in records)
+        assert main(["report", report_file, "--view", view]) == EXIT_DATA
+        assert "error" in capsys.readouterr().err
 
     def test_matches_grid_stdout_rendering(self, data_file, report_file, capsys):
         # report re-renders exactly what grid printed for the same view

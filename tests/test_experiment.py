@@ -1,5 +1,8 @@
+import dataclasses
 import datetime
 import io
+import json
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +239,38 @@ class TestRunGrid:
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
+    @pytest.mark.parametrize("hook", ["sink", "progress"])
+    def test_pooled_sweep_stops_promptly_on_error(self, ar_split, hook):
+        # 40 cells of similar cost on 2 workers: a sweep that fails on its
+        # first cell must stop after the few cells already running, not run
+        # the ~20 rounds of the whole grid
+        train_series, test_series = ar_split
+        grid = small_grid(
+            input_levels=tuple(range(1, 9)), hidden_levels=(4, 5, 6, 7, 8),
+            train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=600, restarts=2),
+        )
+        started = time.perf_counter()
+        run_grid(train_series, test_series, grid, workers=2)
+        whole = time.perf_counter() - started
+
+        class Failing(Exception):
+            pass
+
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if '"type": "cell"' in text:
+                    raise Failing()
+                return super().write(text)
+
+        def failing_progress(done, total, item):
+            raise Failing()
+
+        hooks = {"sink": FailingSink(), "progress": failing_progress}
+        started = time.perf_counter()
+        with pytest.raises(Failing):
+            run_grid(train_series, test_series, grid, workers=2, **{hook: hooks[hook]})
+        assert time.perf_counter() - started < 0.5 * whole
+
 
 class TestReportPersistence:
     def test_round_trip(self, ar_split, tmp_path):
@@ -289,6 +324,42 @@ class TestReportPersistence:
             load_report(io.StringIO('{"format": "csv"}\n'))
         with pytest.raises(ReportFormatError):
             load_report(io.StringIO(""))
+
+    @pytest.mark.parametrize("record_type, edit, message", [
+        ("failure", lambda r: r.update(p=9), "off the header's grid"),
+        ("cell", lambda r: r["out_sample"].pop(), "horizon labels"),
+    ])
+    def test_records_inconsistent_with_header_rejected(self, ar_split, record_type,
+                                                       edit, message):
+        train_series, test_series = ar_split
+        grid = small_grid(hidden_levels=(2,))
+        rw_rows = random_walk_rows(train_series, test_series, grid.horizon_spec)
+        cell = CellResult(p=1, h=2, in_sample=MetricRow(1.0, 1.0, 1.0),
+                          out_sample=rw_rows, best_sse=1.0)
+        failure = CellFailure(p=2, h=2, error="all 2 restarts diverged")
+        report = GridReport.build([cell], [failure], rw_rows, grid, "unit", 110, 10)
+        buffer = io.StringIO()
+        save_report(report, buffer)
+        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        edit(next(r for r in records[1:] if r["type"] == record_type))
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        with pytest.raises(ReportFormatError, match=message):
+            load_report(io.StringIO(text))
+
+    def test_every_train_config_field_round_trips(self, ar_split, tmp_path):
+        cfg = TrainConfig(learning_rate=3e-3, max_epochs=7, min_sse_delta=1e-7,
+                          restarts=1, init_half_width=0.25, master_seed=12)
+        defaults = TrainConfig()
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert all(getattr(cfg, n) != getattr(defaults, n) for n in names)
+        train_series, test_series = ar_split
+        report = run_grid(train_series, test_series,
+                          small_grid(input_levels=(1,), hidden_levels=(2,), train_cfg=cfg))
+        path = tmp_path / "report.fxr"
+        save_report(report, path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert list(header["config"]["train_cfg"]) == names
+        assert load_report(path).config.train_cfg == cfg
 
     def test_failures_round_trip(self, ar_split):
         train_series, test_series = ar_split

@@ -280,6 +280,19 @@ class TestGradient:
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
 
+    @pytest.mark.parametrize("p, h", [(5, 18), (10, 30)])
+    def test_matches_finite_differences_at_paper_corners(self, p, h):
+        rng = np.random.default_rng(p * 100 + h)
+        net = init_weights(Architecture(p, h), int(rng.integers(1 << 30)), 0.8)
+        data = make_windows(series_of(rng.uniform(0, 1, 8 + p)), p)
+        g = gradient(net, data)
+        analytic = np.concatenate(
+            [g.hidden_weights.ravel(), g.hidden_biases, g.output_weights, [g.output_bias]]
+        )
+        numeric = finite_difference_gradient(net, data)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+        assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
+
     def test_hard_limit_rejected(self):
         arch = Architecture(1, 2, hidden_activation=Activation.HARD_LIMIT)
         net = init_weights(arch, 0, 0.5)
@@ -324,6 +337,40 @@ class TestTrain:
         assert run.sse == pytest.approx(sse(run.net, data), rel=1e-12)
         assert run.sse_trace[-1] == run.sse
         assert run.epochs_run == len(run.sse_trace) == 50
+
+    def test_matches_reference_loop_at_largest_corner(self):
+        # plain gradient descent with one (n, h) row per pattern, written
+        # out layer by layer as the textbook backpropagation
+        rng = np.random.default_rng(1030)
+        p, h, epochs, lr = 10, 30, 20, 1e-4
+        data = make_windows(series_of(rng.uniform(0, 1, 300 + p)), p)
+        net0 = init_weights(Architecture(p, h), 17, 0.5)
+        run = train(net0, data, TrainConfig(learning_rate=lr, max_epochs=epochs,
+                                             min_sse_delta=0.0))
+
+        x, t = data.inputs, data.targets
+        w1, b1 = net0.hidden_weights.copy(), net0.hidden_biases.copy()
+        w2, b2 = net0.output_weights.copy(), net0.output_bias
+        trace = []
+        for epoch in range(epochs + 1):
+            hidden = 1.0 / (1.0 + np.exp(-(x @ w1.T + b1)))  # (n, h)
+            resid = hidden @ w2 + b2 - t
+            if epoch:
+                trace.append(float(resid @ resid))
+            if epoch == epochs:
+                break
+            delta_out = 2.0 * resid
+            delta_hidden = np.outer(delta_out, w2) * hidden * (1.0 - hidden)
+            w1 = w1 - lr * (delta_hidden.T @ x)
+            b1 = b1 - lr * delta_hidden.sum(axis=0)
+            w2 = w2 - lr * (hidden.T @ delta_out)
+            b2 = b2 - lr * delta_out.sum()
+
+        assert not run.diverged and run.epochs_run == epochs
+        np.testing.assert_allclose(run.sse_trace, trace, rtol=1e-9, atol=0)
+        for got, want in ((run.net.hidden_weights, w1), (run.net.hidden_biases, b1),
+                          (run.net.output_weights, w2), (run.net.output_bias, b2)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     def test_descent_property_statistical(self):
         # lr <= 1e-3 on [0,1]-scaled data of <= 50 patterns: SSE trace
