@@ -6,8 +6,10 @@ from __future__ import annotations
 import datetime
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .metrics import (
     random_walk,
 )
 from .mlp import Architecture, TrainConfig, predict, train_multi_restart
-from .series import TimeSeries, fit_scaler, make_windows
+from .series import TimeSeries, WindowedDataset, fit_scaler, make_windows
 
 _REPORT_FORMAT = "fxcast-grid-report"
 _REPORT_VERSION = 1
@@ -198,14 +200,11 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     if len(train_series) <= p:
         raise DataError(f"training series length {len(train_series)} must exceed p={p}")
 
-    if cfg.scale:
-        scaler = fit_scaler(train_series)
-        train_values = scaler.apply(train_series.values)
-    else:
-        scaler = None
-        train_values = train_series.values
-    scaled_train = TimeSeries(train_series.dates, train_values, train_series.name)
-    data = make_windows(scaled_train, p)
+    scaler = fit_scaler(train_series) if cfg.scale else None
+    data = make_windows(train_series, p)
+    if scaler is not None:
+        # elementwise, so the same values as windowing the scaled series
+        data = WindowedDataset(p, scaler.apply(data.inputs), scaler.apply(data.targets))
 
     arch = Architecture(input_count=p, hidden_count=h)
     result = train_multi_restart(arch, data, cfg.train_cfg)
@@ -252,12 +251,34 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
     return evaluate_horizons(fs, spec)
 
 
-def _cell_task(args):
-    train_series, test_series, p, h, cfg = args
-    try:
-        return run_cell(train_series, test_series, p, h, cfg)
-    except (DataError, DivergenceError) as exc:
-        return CellFailure(p=p, h=h, error=str(exc))
+def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
+                chunk) -> list:
+    """Run the (p, h) cells of one chunk in order; a cell with no usable
+    network becomes a CellFailure."""
+    items = []
+    for p, h in chunk:
+        try:
+            items.append(run_cell(train_series, test_series, p, h, grid))
+        except (DataError, DivergenceError) as exc:
+            items.append(CellFailure(p=p, h=h, error=str(exc)))
+    return items
+
+
+def _chunk_schedule(order, workers: int) -> list:
+    """Split ``order`` into contiguous chunks for a pool of ``workers``.
+
+    Each chunk takes 1/(16 * workers) of the cells not yet scheduled, at
+    least one, so chunk sizes shrink towards single cells at the end and the
+    workers finish close together. A grid of fewer than 32 * workers cells
+    gets one cell per chunk.
+    """
+    chunks = []
+    start = 0
+    while start < len(order):
+        size = max(1, (len(order) - start) // (16 * workers))
+        chunks.append(order[start:start + size])
+        start += size
+    return chunks
 
 
 def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
@@ -266,9 +287,12 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
 
     Cells run independently — serially, or on a process pool when
     ``workers`` > 1 — and the output is identical either way: restart seeds
-    depend only on (master_seed, p, h, restart), and records are reduced in
-    (p, h) order regardless of completion order. With ``sink`` set, records
-    stream out incrementally so an interrupted sweep leaves a valid prefix.
+    depend only on (master_seed, p, h, restart). The pool runs the
+    contiguous chunks of ``_chunk_schedule`` on at most one process per
+    chunk, and their results are read back in (p, h) order: a cell's record
+    goes to ``sink`` and ``progress`` once its chunk and every chunk before
+    it are done. With ``sink`` set, an interrupted sweep leaves a valid
+    prefix.
 
     Per-cell failures (e.g. every restart diverged) are recorded in the
     report instead of aborting the remaining cells.
@@ -283,49 +307,30 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
         writer.random_walk(rw_rows)
 
     order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
-    outcomes: dict = {}
-    emitted = 0
-    done = 0
-
-    def emit_ready():
-        nonlocal emitted
-        while emitted < len(order) and order[emitted] in outcomes:
-            item = outcomes[order[emitted]]
+    task = partial(_chunk_task, train_series, test_series, grid)
+    pool = None
+    if workers == 1:
+        chunks = map(task, ([cell] for cell in order))
+    else:
+        schedule = _chunk_schedule(order, workers)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(schedule)))
+        chunks = pool.map(task, schedule)
+    items = []
+    try:
+        for item in chain.from_iterable(chunks):
+            items.append(item)
             if writer is not None:
                 writer.record(item)
-            emitted += 1
-
-    def note(item):
-        nonlocal done
-        done += 1
-        outcomes[(item.p, item.h)] = item
-        emit_ready()
-        if progress is not None:
-            progress(done, len(order), item)
-
-    if workers == 1:
-        for p, h in order:
-            note(_cell_task((train_series, test_series, p, h, grid)))
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending = {
-                pool.submit(_cell_task, (train_series, test_series, p, h, grid))
-                for p, h in order
-            }
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    note(future.result())
-        except BaseException:
-            # a failing sink, callback or worker ends the sweep after the
-            # cells already running, not after every queued cell
+            if progress is not None:
+                progress(len(items), len(order), item)
+    finally:
+        # a failing sink, callback or worker ends the sweep after the chunks
+        # already running, not after every queued chunk
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-            raise
-        pool.shutdown()
 
-    cells = [v for v in outcomes.values() if isinstance(v, CellResult)]
-    failures = [v for v in outcomes.values() if isinstance(v, CellFailure)]
+    cells = [v for v in items if isinstance(v, CellResult)]
+    failures = [v for v in items if isinstance(v, CellFailure)]
     return GridReport.build(
         cells, failures, rw_rows, grid,
         train_series.name, len(train_series), len(test_series),

@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import fxcast.mlp
 from fxcast import (
@@ -291,6 +292,7 @@ def _full_scale_series():
     return synthesize_series("noisy_ar1", 1095, seed=11, y0=5.0)
 
 
+@pytest.mark.slow
 def test_c8a_reduced_sweep_under_three_minutes():
     """50 cells x 5 restarts on the 1043/52 split in under 180 s."""
     series = _full_scale_series()
@@ -312,6 +314,7 @@ def test_c8a_reduced_sweep_under_three_minutes():
     )
 
 
+@pytest.mark.slow
 def test_c8b_full_scale_sweep_under_thirty_minutes():
     """50 cells x 50 restarts on the 1043/52 split in under 1800 s."""
     series = _full_scale_series()

@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -17,10 +18,13 @@ from fxcast import (
     MetricRow,
     ReportFormatError,
     ReportVersionError,
+    TimeSeries,
     TrainConfig,
     evaluate_cell,
+    fit_scaler,
     forward,
     load_report,
+    make_windows,
     random_walk_rows,
     render_table,
     run_cell,
@@ -29,6 +33,8 @@ from fxcast import (
     split_by_count,
     synthesize_series,
 )
+from fxcast import experiment
+from fxcast.experiment import _chunk_schedule
 
 from conftest import series_of
 
@@ -154,6 +160,31 @@ class TestRunCell:
             for label in intact_labels:
                 assert dict(cell_corrupt.out_sample)[label] == dict(cell.out_sample)[label]
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_windows_scaled_like_windows_of_scaled_series(self, ar_split, monkeypatch, p):
+        # scaling is elementwise, so scaling the windows gives the bits of
+        # windowing a scaled series, and training on either gives one cell
+        train_series, test_series = ar_split
+        cfg = small_grid()
+        scaler = fit_scaler(train_series)
+        scaled = TimeSeries(train_series.dates, scaler.apply(train_series.values),
+                            train_series.name)
+        reference = make_windows(scaled, p)
+        cell, _ = evaluate_cell(train_series, test_series, p, 3, cfg)
+
+        trained_on = []
+        train_multi_restart = experiment.train_multi_restart
+
+        def train_on_reference(arch, data, train_cfg):
+            trained_on.append(data)
+            return train_multi_restart(arch, reference, train_cfg)
+
+        monkeypatch.setattr(experiment, "train_multi_restart", train_on_reference)
+        via_scaled_series, _ = evaluate_cell(train_series, test_series, p, 3, cfg)
+        assert trained_on[0].inputs.tobytes() == reference.inputs.tobytes()
+        assert trained_on[0].targets.tobytes() == reference.targets.tobytes()
+        assert via_scaled_series == cell
+
     def test_in_sample_covers_n_minus_p_patterns(self, ar_split):
         # with scaling disabled and a network stub this is exact; here just
         # check the metrics are finite and reproducible across p
@@ -205,6 +236,20 @@ class TestRunGrid:
         serial = run_grid(train_series, test_series, grid, workers=1)
         parallel = run_grid(train_series, test_series, grid, workers=4)
         assert serial == parallel
+
+    def test_pool_has_no_more_processes_than_chunks(self, ar_split, monkeypatch):
+        sizes = []
+
+        class RecordingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        train_series, test_series = ar_split
+        report = run_grid(train_series, test_series, small_grid(), workers=8)
+        assert sizes == [4]
+        assert report == run_grid(train_series, test_series, small_grid())
 
     def test_streaming_matches_save(self, ar_split):
         train_series, test_series = ar_split
@@ -270,6 +315,70 @@ class TestRunGrid:
         with pytest.raises(Failing):
             run_grid(train_series, test_series, grid, workers=2, **{hook: hooks[hook]})
         assert time.perf_counter() - started < 0.5 * whole
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunked_pool_matches_serial(self, ar_split, workers):
+        train_series, test_series = ar_split
+        grid = small_grid(input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)))
+        order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
+        assert len(_chunk_schedule(order, workers)) < len(order)
+        serial = run_grid(train_series, test_series, grid)
+        streamed = io.StringIO()
+        seen = []
+        pooled = run_grid(
+            train_series, test_series, grid, workers=workers, sink=streamed,
+            progress=lambda done, total, item: seen.append((done, total, (item.p, item.h))),
+        )
+        assert pooled == serial
+        saved = io.StringIO()
+        save_report(pooled, saved)
+        assert streamed.getvalue() == saved.getvalue()
+        assert seen == [(done, len(order), cell) for done, cell in enumerate(order, start=1)]
+
+    def test_chunked_pool_stops_promptly_on_sink_error(self, ar_split):
+        # 100 cells on 2 workers run as chunks of up to 3 cells: a sink that
+        # fails on the first cell must stop the sweep after the chunks
+        # already running, not after the ~50 cells per worker of the grid
+        train_series, test_series = ar_split
+        grid = small_grid(
+            input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)),
+            train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=300, restarts=2),
+        )
+        order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
+        assert len(_chunk_schedule(order, 2)[0]) > 1
+        started = time.perf_counter()
+        run_grid(train_series, test_series, grid, workers=2)
+        whole = time.perf_counter() - started
+
+        class Failing(Exception):
+            pass
+
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if '"type": "cell"' in text:
+                    raise Failing()
+                return super().write(text)
+
+        started = time.perf_counter()
+        with pytest.raises(Failing):
+            run_grid(train_series, test_series, grid, workers=2, sink=FailingSink())
+        assert time.perf_counter() - started < 0.5 * whole
+
+
+@pytest.mark.parametrize("cells, workers", [
+    (1, 2), (40, 2), (63, 2), (64, 2), (100, 3), (1000, 2), (1000, 8), (5000, 2),
+])
+def test_chunk_schedule(cells, workers):
+    order = [(p, 1) for p in range(cells)]
+    chunks = _chunk_schedule(order, workers)
+    assert [cell for chunk in chunks for cell in chunk] == order
+    sizes = [len(chunk) for chunk in chunks]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    tail = min(cells, 16 * workers)
+    assert sizes[-tail:] == [1] * tail
+    if cells < 32 * workers:
+        assert sizes == [1] * cells
+    assert len(chunks) <= 16 * workers * (1 + math.log(cells))
 
 
 class TestReportPersistence:
