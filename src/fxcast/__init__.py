@@ -10,7 +10,6 @@ from .errors import (
     DataError,
     DivergenceError,
     FxcastError,
-    NonDifferentiableError,
     ParseError,
     ReportFormatError,
     ReportVersionError,
@@ -25,7 +24,6 @@ from .experiment import (
     load_report,
     random_walk_rows,
     render_table,
-    run_cell,
     run_grid,
     save_report,
     synthesize_series,
@@ -42,14 +40,12 @@ from .metrics import (
     rmse,
 )
 from .mlp import (
-    Activation,
     Architecture,
     Gradient,
     Mlp,
     TrainConfig,
     TrainResult,
     TrainRun,
-    activate,
     forward,
     gradient,
     init_weights,

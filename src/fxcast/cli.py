@@ -20,7 +20,10 @@ from .errors import (
     ReportFormatError,
 )
 from .experiment import (
+    _SYNTH_KINDS,
+    _VIEWS,
     GridConfig,
+    _render_row,
     evaluate_cell,
     load_report,
     random_walk_rows,
@@ -182,16 +185,12 @@ def _train_config(args) -> TrainConfig:
 
 def _print_metric_block(rows):
     widths = (14, 9, 16, 16, 16)
-    print(_pad(("Sample", "Horizon", "RMSE", "MAE", "MAPE"), widths))
+    print(_render_row(("Sample", "Horizon", "RMSE", "MAE", "MAPE"), widths))
     for sample, horizon, row in rows:
-        print(_pad(
+        print(_render_row(
             (sample, horizon, f"{row.rmse:.8f}", f"{row.mae:.8f}", f"{row.mape:.8f}"),
             widths,
         ))
-
-
-def _pad(columns, widths) -> str:
-    return "".join(str(c).ljust(w) for c, w in zip(columns, widths)).rstrip()
 
 
 def cmd_ingest(args) -> int:
@@ -276,7 +275,7 @@ def cmd_grid(args) -> int:
         if sink is not None:
             sink.close()
 
-    for index, view in enumerate(("in_sample", "out_sample_by_input", "hidden_effect")):
+    for index, view in enumerate(_VIEWS):
         if index:
             print()
         print(f"# {view}")
@@ -308,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=cmd_ingest)
 
     synth = commands.add_parser("synth", help="generate a synthetic benchmark series")
-    synth.add_argument("--kind", required=True,
-                       choices=("logistic_map", "noisy_ar1", "sine"))
+    synth.add_argument("--kind", required=True, choices=_SYNTH_KINDS)
     synth.add_argument("--n", type=_positive_int, required=True,
                        help="number of observations")
     synth.add_argument("--seed", type=int, default=None)

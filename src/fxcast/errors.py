@@ -19,10 +19,6 @@ class DataError(FxcastError, ValueError):
     """Invalid data or arguments for an operation."""
 
 
-class NonDifferentiableError(FxcastError, ValueError):
-    """A gradient was requested through a non-differentiable activation."""
-
-
 class DivergenceError(FxcastError, RuntimeError):
     """Every training restart diverged; there is no usable solution."""
 

@@ -7,7 +7,7 @@ import datetime
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -64,7 +64,7 @@ class GridConfig:
         return len(self.input_levels) * len(self.hidden_levels)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CellResult:
     """Metrics for one (p, h) grid cell.
 
@@ -77,18 +77,7 @@ class CellResult:
     in_sample: MetricRow
     out_sample: tuple  # ((label, MetricRow), ...)
     best_sse: float
-    train_seconds: float = 0.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CellResult):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.h == other.h
-            and self.in_sample == other.in_sample
-            and self.out_sample == other.out_sample
-            and self.best_sse == other.best_sse
-        )
+    train_seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ class InputAverage:
     out_sample: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridReport:
     """Everything a sweep produced, plus the exact configuration that ran it."""
 
@@ -139,20 +128,6 @@ class GridReport:
             series_name=series_name,
             train_len=train_len,
             test_len=test_len,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridReport):
-            return NotImplemented
-        return (
-            self.cells == other.cells
-            and self.failures == other.failures
-            and self.per_input_averages == other.per_input_averages
-            and self.random_walk_rows == other.random_walk_rows
-            and self.config == other.config
-            and self.series_name == other.series_name
-            and self.train_len == other.train_len
-            and self.test_len == other.test_len
         )
 
 
@@ -237,13 +212,6 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     return cell, net
 
 
-def run_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: int,
-             cfg: GridConfig) -> CellResult:
-    """Train and score one grid cell."""
-    cell, _ = evaluate_cell(train_series, test_series, p, h, cfg)
-    return cell
-
-
 def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
                      spec: HorizonSpec) -> tuple:
     """Per-horizon metric rows for the naive random-walk benchmark."""
@@ -258,7 +226,7 @@ def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridCon
     items = []
     for p, h in chunk:
         try:
-            items.append(run_cell(train_series, test_series, p, h, grid))
+            items.append(evaluate_cell(train_series, test_series, p, h, grid)[0])
         except (DataError, DivergenceError) as exc:
             items.append(CellFailure(p=p, h=h, error=str(exc)))
     return items
@@ -450,7 +418,11 @@ def load_report(source) -> GridReport:
         with open(source, "r", encoding="utf-8") as handle:
             return load_report(handle)
 
-    lines = [line for line in source.read().splitlines() if line.strip()]
+    try:
+        text = source.read()
+    except UnicodeDecodeError as exc:
+        raise ReportFormatError(f"report is not UTF-8 text: {exc}") from None
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ReportFormatError("empty report file")
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ import numpy as np
 from .errors import (
     DataError,
     DivergenceError,
-    NonDifferentiableError,
     ReportFormatError,
     ReportVersionError,
 )
@@ -23,73 +21,25 @@ from .series import WindowedDataset, _frozen_array
 _SEED_MASK = (1 << 64) - 1
 
 
-class Activation(Enum):
-    """Node transfer functions."""
+def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """Apply the logistic function to the float array ``z``, overwriting it.
 
-    HARD_LIMIT = "hard_limit"
-    PURE_LINEAR = "pure_linear"
-    SIGMOID = "sigmoid"
-    TANSIGMOID = "tansigmoid"
-
-
-_DIFFERENTIABLE = (Activation.PURE_LINEAR, Activation.SIGMOID, Activation.TANSIGMOID)
-
-
-def _activate_inplace(kind: Activation, z: np.ndarray) -> np.ndarray:
-    """Apply an activation to the float array ``z``, overwriting it.
-
-    The sigmoid's exp overflows for very negative z, and 1/(1+inf) -> 0 is
-    exactly the right limit; callers run this under
-    ``np.errstate(over="ignore")``, which costs too much to enter per epoch.
+    The exp overflows for very negative z, and 1/(1+inf) -> 0 is exactly the
+    right limit; callers run this under ``np.errstate(over="ignore")``, which
+    costs too much to enter per epoch.
     """
-    if kind is Activation.PURE_LINEAR:
-        return z
-    if kind is Activation.SIGMOID:
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        return np.reciprocal(z, out=z)
-    if kind is Activation.TANSIGMOID:
-        return np.tanh(z, out=z)
-    if kind is Activation.HARD_LIMIT:
-        return np.greater_equal(z, 0.0, out=z)
-    raise DataError(f"unknown activation {kind!r}")
-
-
-def _slope(kind: Activation, activ: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Activation slope at each element, written into ``out``.
-
-    Slopes are expressed through the activation output ``activ``: 1 for
-    pure_linear, a(1-a) for sigmoid, 1-a^2 for tansigmoid.
-    """
-    if kind is Activation.PURE_LINEAR:
-        out.fill(1.0)
-        return out
-    if kind is Activation.SIGMOID:
-        np.multiply(activ, activ, out=out)
-        return np.subtract(activ, out, out=out)
-    if kind is Activation.TANSIGMOID:
-        np.multiply(activ, activ, out=out)
-        return np.subtract(1.0, out, out=out)
-    raise NonDifferentiableError(f"{kind.value} has no derivative")
-
-
-def activate(kind: Activation, x):
-    """Apply a transfer function to a scalar or array of finite values."""
-    arr = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        out = _activate_inplace(kind, np.array(arr, ndmin=1))
-    return float(out[0]) if arr.ndim == 0 else out
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """Shape of the network: p inputs, h hidden units, one output node."""
+    """Shape of the network: p inputs, h sigmoid hidden units, one linear output."""
 
     input_count: int
     hidden_count: int
-    hidden_activation: Activation = Activation.SIGMOID
-    output_activation: Activation = Activation.PURE_LINEAR
 
     def __post_init__(self):
         if self.input_count < 1:
@@ -268,7 +218,7 @@ def _with_ones_row(rows: int, n: int) -> np.ndarray:
     return buf
 
 
-def _forward(w1, w2, hidden_act, output_act, inputs_t, hidden, out):
+def _forward(w1, w2, inputs_t, hidden, out):
     """Network outputs for the (p + 1, n) transposed, ones-extended inputs.
 
     ``w1`` is (h, p + 1) with the hidden biases in its last column and ``w2``
@@ -280,9 +230,8 @@ def _forward(w1, w2, hidden_act, output_act, inputs_t, hidden, out):
     """
     units = hidden[:-1]
     np.dot(w1, inputs_t, out=units)
-    _activate_inplace(hidden_act, units)
-    np.dot(w2, hidden, out=out)
-    return _activate_inplace(output_act, out)
+    _sigmoid_inplace(units)
+    return np.dot(w2, hidden, out=out)
 
 
 def predict(net: Mlp, inputs) -> np.ndarray:
@@ -296,9 +245,7 @@ def predict(net: Mlp, inputs) -> np.ndarray:
     inputs_t[:p] = x.T
     params = _Params.of(net)
     with np.errstate(over="ignore"):
-        return _forward(params.w1, params.w2, net.arch.hidden_activation,
-                        net.arch.output_activation, inputs_t, _with_ones_row(h, n),
-                        np.empty(n))
+        return _forward(params.w1, params.w2, inputs_t, _with_ones_row(h, n), np.empty(n))
 
 
 def forward(net: Mlp, input) -> float:
@@ -369,13 +316,12 @@ class _Workspace:
         self.units = self.hidden[:h]
         self.out = np.empty(n)
         self.delta = np.empty(n)
-        self.out_slope = np.empty(n)
         self.scaled_t = np.empty((p + 1, n))
         self.slope = np.empty((h, n))
         self.grad = _Params(np.empty(h * (p + 1) + h + 1), p, h)
 
 
-def _sse_and_gradient(params: _Params, hidden_act, output_act, work: _Workspace) -> float:
+def _sse_and_gradient(params: _Params, work: _Workspace) -> float:
     """Fused objective and gradient at ``params``.
 
     Returns the SSE and leaves the gradient in ``work.grad``; the caller must
@@ -386,39 +332,27 @@ def _sse_and_gradient(params: _Params, hidden_act, output_act, work: _Workspace)
     inputs rather than the (h, n) slopes, and w2 scales the (h, p + 1)
     product, so no (h, n) outer product is formed.
     """
-    out = _forward(params.w1, params.w2, hidden_act, output_act,
-                   work.inputs_t, work.hidden, work.out)
+    out = _forward(params.w1, params.w2, work.inputs_t, work.hidden, work.out)
     delta = np.subtract(out, work.targets, out=work.delta)
     total = float(delta @ delta)
-    delta *= 2.0
-    if output_act is not Activation.PURE_LINEAR:  # whose slope is 1
-        delta *= _slope(output_act, out, work.out_slope)
+    delta *= 2.0  # the linear output's slope is 1
     grad = work.grad
     np.dot(work.hidden, delta, out=grad.w2)
     np.multiply(work.inputs_t, delta, out=work.scaled_t)
-    slope = _slope(hidden_act, work.units, work.slope)
+    # the sigmoid's slope a(1 - a), from the hidden activations a
+    slope = np.multiply(work.units, work.units, out=work.slope)
+    np.subtract(work.units, slope, out=slope)
     np.dot(slope, work.scaled_t.T, out=grad.w1)
     grad.w1 *= params.w2_col
     return total
 
 
-def _require_differentiable(net: Mlp):
-    for kind in (net.arch.hidden_activation, net.arch.output_activation):
-        if kind not in _DIFFERENTIABLE:
-            raise NonDifferentiableError(
-                f"cannot differentiate through {kind.value} activation"
-            )
-
-
 def gradient(net: Mlp, data: WindowedDataset) -> Gradient:
     """Exact partial derivatives of sse(net, data), summed over patterns."""
     _check_window(net, data)
-    _require_differentiable(net)
     work = _Workspace(data, net.arch.hidden_count)
     with np.errstate(over="ignore"):
-        _sse_and_gradient(
-            _Params.of(net), net.arch.hidden_activation, net.arch.output_activation, work
-        )
+        _sse_and_gradient(_Params.of(net), work)
     return Gradient(*work.grad.layers())
 
 
@@ -434,9 +368,6 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     with ``diverged`` set; the caller decides whether to discard it.
     """
     _check_window(net0, data)
-    _require_differentiable(net0)
-    hidden_act = net0.arch.hidden_activation
-    output_act = net0.arch.output_activation
     p, h = net0.arch.input_count, net0.arch.hidden_count
     lr = cfg.learning_rate
     min_delta = cfg.min_sse_delta
@@ -451,14 +382,14 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     # blow-ups surface as non-finite values and are handled explicitly below,
     # so the numpy overflow warnings on a diverging run are pure noise
     with np.errstate(over="ignore", invalid="ignore"):
-        sse_prev = _sse_and_gradient(params, hidden_act, output_act, work)
+        sse_prev = _sse_and_gradient(params, work)
         for _ in range(cfg.max_epochs):
             np.multiply(work.grad.flat, lr, out=step)
             np.subtract(params.flat, step, out=trial.flat)
             if not np.isfinite(trial.flat, out=finite).all():
                 diverged = True
                 break
-            sse_new = _sse_and_gradient(trial, hidden_act, output_act, work)
+            sse_new = _sse_and_gradient(trial, work)
             if not math.isfinite(sse_new):
                 diverged = True
                 break
@@ -510,6 +441,8 @@ def train_multi_restart(
 
 _MODEL_FORMAT = "fxcast-mlp"
 _MODEL_VERSION = 1
+# the one network shape, recorded so that a model file says what it holds
+_MODEL_ACTIVATIONS = {"hidden_activation": "sigmoid", "output_activation": "pure_linear"}
 
 
 def save_model(net: Mlp, sink):
@@ -523,8 +456,7 @@ def save_model(net: Mlp, sink):
         "version": _MODEL_VERSION,
         "p": net.arch.input_count,
         "h": net.arch.hidden_count,
-        "hidden_activation": net.arch.hidden_activation.value,
-        "output_activation": net.arch.output_activation.value,
+        **_MODEL_ACTIVATIONS,
         "hidden_weights": net.hidden_weights.tolist(),
         "hidden_biases": net.hidden_biases.tolist(),
         "output_weights": net.output_weights.tolist(),
@@ -539,13 +471,13 @@ def save_model(net: Mlp, sink):
 
 def load_model(source) -> Mlp:
     """Load a network saved by save_model."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
     try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text = source.read()
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportFormatError(f"corrupt model file: {exc}") from None
     if not isinstance(record, dict) or record.get("format") != _MODEL_FORMAT:
         raise ReportFormatError("not a model file")
@@ -553,15 +485,14 @@ def load_model(source) -> Mlp:
         raise ReportVersionError(
             f"unsupported model version {record.get('version')!r}"
         )
+    for key, kind in _MODEL_ACTIVATIONS.items():
+        if record.get(key) != kind:
+            raise ReportFormatError(
+                f"unsupported {key} {record.get(key)!r}, expected {kind!r}"
+            )
     try:
-        arch = Architecture(
-            input_count=record["p"],
-            hidden_count=record["h"],
-            hidden_activation=Activation(record["hidden_activation"]),
-            output_activation=Activation(record["output_activation"]),
-        )
         return Mlp(
-            arch=arch,
+            arch=Architecture(input_count=record["p"], hidden_count=record["h"]),
             hidden_weights=np.array(record["hidden_weights"], dtype=float),
             hidden_biases=np.array(record["hidden_biases"], dtype=float),
             output_weights=np.array(record["output_weights"], dtype=float),

@@ -94,6 +94,12 @@ class ColumnFormat:
     date_col: int = 0
     value_col: int = 1
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1 or self.delimiter in '\r\n"':
+            raise DataError("delimiter must be one character, not a quote or line break")
+        if self.date_col < 0 or self.value_col < 0:
+            raise DataError("column indices must be nonnegative")
+
 
 def _parse_date(field: str) -> datetime.date:
     return datetime.date.fromisoformat(field.strip())
@@ -127,29 +133,34 @@ def parse_series(text, fmt: ColumnFormat = ColumnFormat(), name: str = "series")
     dates: list[datetime.date] = []
     values: list[float] = []
     seen_content = False
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not field.strip() for field in row):
-            continue
-        if len(row) < needed:
-            raise ParseError(
-                f"expected at least {needed} columns, found {len(row)}", row=row_no
-            )
-        try:
-            date = _parse_date(row[fmt.date_col])
-        except ValueError:
-            if not seen_content:
-                seen_content = True
-                continue  # header row
-            raise ParseError(f"malformed date {row[fmt.date_col]!r}", row=row_no) from None
-        seen_content = True
-        value = _parse_value(row[fmt.value_col], row_no)
-        if dates:
-            if date == dates[-1]:
-                raise ParseError(f"duplicate date {date.isoformat()}", row=row_no)
-            if date < dates[-1]:
-                raise ParseError(f"decreasing date {date.isoformat()}", row=row_no)
-        dates.append(date)
-        values.append(value)
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not field.strip() for field in row):
+                continue
+            if len(row) < needed:
+                raise ParseError(
+                    f"expected at least {needed} columns, found {len(row)}", row=row_no
+                )
+            try:
+                date = _parse_date(row[fmt.date_col])
+            except ValueError:
+                if not seen_content:
+                    seen_content = True
+                    continue  # header row
+                raise ParseError(f"malformed date {row[fmt.date_col]!r}", row=row_no) from None
+            seen_content = True
+            value = _parse_value(row[fmt.value_col], row_no)
+            if dates:
+                if date == dates[-1]:
+                    raise ParseError(f"duplicate date {date.isoformat()}", row=row_no)
+                if date < dates[-1]:
+                    raise ParseError(f"decreasing date {date.isoformat()}", row=row_no)
+            dates.append(date)
+            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
 
     if not values:
         raise ParseError("empty input")

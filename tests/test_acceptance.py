@@ -23,6 +23,7 @@ from fxcast import (
     GridConfig,
     TimeSeries,
     TrainConfig,
+    evaluate_cell,
     fit_scaler,
     init_weights,
     mae,
@@ -32,7 +33,6 @@ from fxcast import (
     render_table,
     restart_seed,
     rmse,
-    run_cell,
     run_grid,
     split_by_count,
     synthesize_series,
@@ -178,7 +178,7 @@ def test_c5_beats_random_walk():
         ),
     )
     best = min(
-        dict(run_cell(train_series, test_series, 1, h, grid).out_sample)["12m"].rmse
+        dict(evaluate_cell(train_series, test_series, 1, h, grid)[0].out_sample)["12m"].rmse
         for h in (6, 12)
     )
     rw = dict(random_walk_rows(train_series, test_series, grid.horizon_spec))["12m"]

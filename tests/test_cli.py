@@ -58,6 +58,34 @@ class TestIngest:
         assert main(["ingest", str(path), "--delimiter", ";"]) == EXIT_OK
 
 
+class TestMalformedSeries:
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", []),
+        ("train", ["--inputs", "1", "--hidden", "1", *FAST]),
+        ("grid", ["--inputs", "1", "--hidden", "1", "--workers", "1", *FAST]),
+    ])
+    def test_non_utf8_byte(self, tmp_path, command, flags, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,value\n2020-01-01,1.0\n2020-01-02,2.5\xe9\n")
+        assert main([command, str(path), *flags]) == EXIT_DATA
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("2020-01-01,1.0\n2020-01-02," + "1" * 200_000 + "\n")
+        assert main(["ingest", str(path)]) == EXIT_DATA
+        assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--delimiter", ""],
+        ["--delimiter", ";;"],
+        ["--value-col", "-1"],
+    ])
+    def test_bad_column_format(self, data_file, flags, capsys):
+        assert main(["ingest", data_file, *flags]) == EXIT_DATA
+        assert "error" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_round_trips_through_ingest(self, tmp_path, capsys):
         out = tmp_path / "synth.csv"
@@ -195,6 +223,12 @@ class TestReport:
         path = tmp_path / "corrupt.fxr"
         path.write_text("not a report\n")
         assert main(["report", str(path)]) == EXIT_DATA
+
+    def test_non_utf8_report(self, report_file, capsys):
+        with open(report_file, "ab") as handle:
+            handle.write(b"\xff\n")
+        assert main(["report", report_file]) == EXIT_DATA
+        assert "UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record_type, field, value, view", [
         ("cell", "p", 7, "in_sample"),  # a cell off the header's grid

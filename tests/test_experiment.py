@@ -27,7 +27,6 @@ from fxcast import (
     make_windows,
     random_walk_rows,
     render_table,
-    run_cell,
     run_grid,
     save_report,
     split_by_count,
@@ -108,26 +107,26 @@ class TestRunCell:
     def test_deterministic(self, ar_split):
         train_series, test_series = ar_split
         cfg = small_grid()
-        a = run_cell(train_series, test_series, 2, 3, cfg)
-        b = run_cell(train_series, test_series, 2, 3, cfg)
+        a = evaluate_cell(train_series, test_series, 2, 3, cfg)[0]
+        b = evaluate_cell(train_series, test_series, 2, 3, cfg)[0]
         assert a == b
 
     def test_out_sample_rows_follow_horizons(self, ar_split):
         train_series, test_series = ar_split
-        cell = run_cell(train_series, test_series, 1, 2, small_grid())
+        cell = evaluate_cell(train_series, test_series, 1, 2, small_grid())[0]
         assert [label for label, _ in cell.out_sample] == ["1w", "4w"]
 
     def test_constant_series_scaler_error(self):
         train_series = series_of([5.0] * 30)
         test_series = series_of([5.0] * 5, start=datetime.date(2010, 1, 1))
         with pytest.raises(DataError):
-            run_cell(train_series, test_series, 1, 2, small_grid())
+            evaluate_cell(train_series, test_series, 1, 2, small_grid())[0]
 
     def test_train_must_exceed_p(self, ar_split):
         _, test_series = ar_split
         short = series_of([1.0, 2.0])
         with pytest.raises(DataError):
-            run_cell(short, test_series, 2, 2, small_grid())
+            evaluate_cell(short, test_series, 2, 2, small_grid())[0]
 
     def test_first_forecast_uses_train_tail(self, ar_split):
         # forecast 1 must equal the network applied to the last p train values
@@ -149,14 +148,14 @@ class TestRunCell:
         # before t, so corrupting positions >= k leaves prefixes < k intact
         train_series, test_series = ar_split
         cfg = small_grid()
-        cell = run_cell(train_series, test_series, 2, 3, cfg)
+        cell = evaluate_cell(train_series, test_series, 2, 3, cfg)[0]
         for k, intact_labels in ((1, ["1w"]), (4, ["1w", "4w"])):
             corrupted_values = test_series.values.copy()
             corrupted_values[k:] += 17.0
             corrupted = type(test_series)(
                 test_series.dates, corrupted_values, test_series.name
             )
-            cell_corrupt = run_cell(train_series, corrupted, 2, 3, cfg)
+            cell_corrupt = evaluate_cell(train_series, corrupted, 2, 3, cfg)[0]
             for label in intact_labels:
                 assert dict(cell_corrupt.out_sample)[label] == dict(cell.out_sample)[label]
 
@@ -190,7 +189,7 @@ class TestRunCell:
         # check the metrics are finite and reproducible across p
         train_series, test_series = ar_split
         for p in (1, 3):
-            cell = run_cell(train_series, test_series, p, 2, small_grid())
+            cell = evaluate_cell(train_series, test_series, p, 2, small_grid())[0]
             assert cell.in_sample.rmse >= 0.0
 
 

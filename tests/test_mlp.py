@@ -6,16 +6,13 @@ import pytest
 
 import fxcast.mlp
 from fxcast import (
-    Activation,
     Architecture,
     DataError,
     DivergenceError,
     Mlp,
-    NonDifferentiableError,
     ReportFormatError,
     ReportVersionError,
     TrainConfig,
-    activate,
     forward,
     gradient,
     init_weights,
@@ -35,16 +32,6 @@ from conftest import series_of
 def naive_sse(net, data):
     """Loop-based SSE, independent of the vectorized forward pass."""
     p, h = net.arch.input_count, net.arch.hidden_count
-
-    def act(kind, x):
-        if kind is Activation.SIGMOID:
-            return 1.0 / (1.0 + math.exp(-x))
-        if kind is Activation.TANSIGMOID:
-            return 2.0 / (1.0 + math.exp(-2.0 * x)) - 1.0
-        if kind is Activation.PURE_LINEAR:
-            return x
-        raise AssertionError(kind)
-
     total = 0.0
     for row, target in zip(data.inputs, data.targets):
         out = net.output_bias
@@ -52,8 +39,8 @@ def naive_sse(net, data):
             z = net.hidden_biases[j]
             for i in range(p):
                 z += net.hidden_weights[j, i] * row[i]
-            out += net.output_weights[j] * act(net.arch.hidden_activation, z)
-        diff = act(net.arch.output_activation, out) - target
+            out += net.output_weights[j] / (1.0 + math.exp(-z))
+        diff = out - target
         total += diff * diff
     return total
 
@@ -94,41 +81,6 @@ def finite_difference_gradient(net, data, step=1e-4):
             - naive_sse(rebuild(net.arch, minus), data)
         ) / (2.0 * step)
     return grad
-
-
-class TestActivations:
-    def test_table_values(self):
-        assert activate(Activation.SIGMOID, 0.0) == 0.5
-        assert activate(Activation.TANSIGMOID, 0.0) == 0.0
-        assert activate(Activation.HARD_LIMIT, 0.0) == 1.0
-        assert activate(Activation.HARD_LIMIT, -0.001) == 0.0
-        assert activate(Activation.PURE_LINEAR, -3.25) == -3.25
-
-    def test_formulas_on_a_grid(self):
-        for x in np.linspace(-20, 20, 81):
-            assert activate(Activation.SIGMOID, x) == pytest.approx(
-                1.0 / (1.0 + math.exp(-x)), rel=1e-12
-            )
-            assert activate(Activation.TANSIGMOID, x) == pytest.approx(
-                2.0 / (1.0 + math.exp(-2.0 * x)) - 1.0, abs=1e-12
-            )
-
-    def test_ranges(self):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(-50, 50, 500)
-        sig = activate(Activation.SIGMOID, xs)
-        tan = activate(Activation.TANSIGMOID, xs)
-        hard = activate(Activation.HARD_LIMIT, xs)
-        assert np.all((sig >= 0.0) & (sig <= 1.0))
-        assert np.all((tan >= -1.0) & (tan <= 1.0))
-        assert set(np.unique(hard)) <= {0.0, 1.0}
-
-    def test_array_input_not_mutated(self):
-        xs = np.array([0.0, 1.0, -1.0])
-        before = xs.copy()
-        activate(Activation.SIGMOID, xs)
-        activate(Activation.TANSIGMOID, xs)
-        assert np.array_equal(xs, before)
 
 
 class TestInitWeights:
@@ -192,6 +144,20 @@ class TestForward:
         batch = predict(net, inputs)
         for i in range(10):
             assert batch[i] == pytest.approx(forward(net, inputs[i]), rel=1e-15)
+
+    def test_saturated_hidden_units_stay_finite_and_bounded(self):
+        # pre-activations of about +-1000 overflow the sigmoid's exp; the
+        # hidden units saturate at 0 or 1 with no RuntimeWarning, so every
+        # output lies in the range a [0, 1] hidden layer allows
+        w1 = np.array([[1000.0, 0.0], [-1000.0, 0.0], [0.0, 1000.0], [0.0, -1000.0]])
+        w2 = np.array([0.5, -0.25, 1.0, -2.0])
+        b2 = 0.125
+        net = Mlp(Architecture(2, 4), w1, np.array([0.0, 1.0, -1.0, 0.5]), w2, b2)
+        inputs = np.array([[1.0, -1.0], [-1.0, 1.0], [0.999, 0.5], [-2.0, -0.7]])
+        out = predict(net, inputs)
+        assert np.all(np.isfinite(out))
+        assert np.all(out >= b2 + np.minimum(w2, 0.0).sum())
+        assert np.all(out <= b2 + np.maximum(w2, 0.0).sum())
 
     def test_hidden_unit_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -264,13 +230,11 @@ class TestGradient:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2025)
-        for trial in range(20):
+        for _ in range(20):
             p = int(rng.integers(1, 4))
             h = int(rng.integers(1, 5))
             n = int(rng.integers(1, 11))
-            hidden = (Activation.SIGMOID, Activation.TANSIGMOID)[trial % 2]
-            arch = Architecture(p, h, hidden_activation=hidden)
-            net = init_weights(arch, int(rng.integers(1 << 30)), 1.0)
+            net = init_weights(Architecture(p, h), int(rng.integers(1 << 30)), 1.0)
             data = make_windows(series_of(rng.uniform(0, 1, n + p)), p)
             g = gradient(net, data)
             analytic = np.concatenate(
@@ -292,15 +256,6 @@ class TestGradient:
         numeric = finite_difference_gradient(net, data)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
-
-    def test_hard_limit_rejected(self):
-        arch = Architecture(1, 2, hidden_activation=Activation.HARD_LIMIT)
-        net = init_weights(arch, 0, 0.5)
-        data = make_windows(series_of([0.1, 0.2, 0.3]), 1)
-        with pytest.raises(NonDifferentiableError):
-            gradient(net, data)
-        with pytest.raises(NonDifferentiableError):
-            train(net, data, TrainConfig())
 
 
 class TestTrain:
@@ -508,9 +463,7 @@ class TestModelSerialization:
         assert load_model(buffer) == net
 
     def test_round_trip_file(self, tmp_path):
-        net = init_weights(
-            Architecture(2, 2, hidden_activation=Activation.TANSIGMOID), 5, 0.3
-        )
+        net = init_weights(Architecture(2, 2), 5, 0.3)
         path = tmp_path / "model.json"
         save_model(net, path)
         assert load_model(path) == net
@@ -541,10 +494,25 @@ class TestModelSerialization:
         with pytest.raises(ReportFormatError):
             load_model(io.StringIO('{"format": "something-else"}'))
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_weights(Architecture(1, 1), 0, 0.5), path)
+        path.write_bytes(path.read_bytes().replace(b'"sigmoid"', b'"sigm\xf6id"'))
+        with pytest.raises(ReportFormatError):
+            load_model(path)
+
     def test_version_mismatch(self):
         net = init_weights(Architecture(1, 1), 0, 0.5)
         buffer = io.StringIO()
         save_model(net, buffer)
         text = buffer.getvalue().replace('"version": 1', '"version": 99')
         with pytest.raises(ReportVersionError):
+            load_model(io.StringIO(text))
+
+    def test_other_activation_rejected(self):
+        net = init_weights(Architecture(1, 1), 0, 0.5)
+        buffer = io.StringIO()
+        save_model(net, buffer)
+        text = buffer.getvalue().replace('"sigmoid"', '"tansigmoid"')
+        with pytest.raises(ReportFormatError, match="tansigmoid"):
             load_model(io.StringIO(text))
