@@ -23,6 +23,7 @@ from .experiment import (
     _SYNTH_KINDS,
     _VIEWS,
     GridConfig,
+    _metric_columns,
     _render_row,
     evaluate_cell,
     load_report,
@@ -187,10 +188,7 @@ def _print_metric_block(rows):
     widths = (14, 9, 16, 16, 16)
     print(_render_row(("Sample", "Horizon", "RMSE", "MAE", "MAPE"), widths))
     for sample, horizon, row in rows:
-        print(_render_row(
-            (sample, horizon, f"{row.rmse:.8f}", f"{row.mae:.8f}", f"{row.mape:.8f}"),
-            widths,
-        ))
+        print(_render_row((sample, horizon, *_metric_columns(row)), widths))
 
 
 def cmd_ingest(args) -> int:
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--view",
         default="in_sample",
-        choices=("in_sample", "out_sample", "out_sample_by_input", "hidden_effect"),
+        choices=(*_VIEWS, "out_sample"),
     )
     report.set_defaults(func=cmd_report)
 

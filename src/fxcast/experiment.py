@@ -443,8 +443,10 @@ def load_report(source) -> GridReport:
     try:
         config = _config_from_json(header["config"])
         series_name = header["series"]
-        train_len = int(header["train_len"])
-        test_len = int(header["test_len"])
+        train_len = header["train_len"]
+        test_len = header["test_len"]
+        if not all(type(n) is int for n in (train_len, test_len)):
+            raise ReportFormatError(f"lengths {train_len!r}, {test_len!r} are not integers")
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ReportFormatError(f"corrupt report header: {exc}") from None
 
@@ -461,8 +463,9 @@ def load_report(source) -> GridReport:
         return rows
 
     def grid_key(obj):
-        key = (int(obj["p"]), int(obj["h"]))
-        if key not in grid:
+        key = (obj["p"], obj["h"])
+        # a JSON 1.0 or true equals the level 1 but is not one
+        if not all(type(v) is int for v in key) or key not in grid:
             raise ReportFormatError(f"cell record {key} is off the header's grid")
         if key in seen:
             raise ReportFormatError(f"duplicate cell record {key}")
@@ -483,13 +486,16 @@ def load_report(source) -> GridReport:
                 rw_rows = horizon_rows(obj["rows"])
             elif kind == "cell":
                 p, h = grid_key(obj)
+                best_sse = obj["best_sse"]
+                if type(best_sse) not in (int, float) or not 0.0 <= best_sse < np.inf:
+                    raise ReportFormatError(f"best_sse {best_sse!r} is not finite and >= 0")
                 cells.append(
                     CellResult(
                         p=p,
                         h=h,
                         in_sample=_row_from_json(obj["in_sample"]),
                         out_sample=horizon_rows(obj["out_sample"]),
-                        best_sse=float(obj["best_sse"]),
+                        best_sse=float(best_sse),
                     )
                 )
             elif kind == "failure":
@@ -521,11 +527,21 @@ def load_report(source) -> GridReport:
 # table rendering
 # ---------------------------------------------------------------------------
 
-_VIEWS = ("in_sample", "out_sample_by_input", "hidden_effect")
+# view: (lead column headers, widths of all columns, hidden-averaged rows?)
+_LAYOUTS = {
+    "in_sample": (("Input", "Hidden"), (7, 8, 15, 15, 15), True),
+    "out_sample_by_input": (("Input",), (7, 15, 15, 15), True),
+    "hidden_effect": (("Sample", "Input", "Hidden"), (10, 7, 8, 15, 15, 15), False),
+}
+_VIEWS = tuple(_LAYOUTS)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.8f}"
+
+
+def _metric_columns(row: MetricRow) -> tuple:
+    return _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)
 
 
 def _render_row(columns, widths) -> str:
@@ -540,107 +556,39 @@ def render_table(report: GridReport, which: str) -> str:
     and horizon, ending with the RW benchmark row), and ``hidden_effect``
     (per-cell out-of-sample rows per horizon).
     """
-    if which == "in_sample":
-        lines = _render_in_sample(report)
-    elif which == "out_sample_by_input":
-        lines = _render_out_sample(report)
-    elif which == "hidden_effect":
-        lines = _render_hidden_effect(report)
-    else:
+    if which not in _LAYOUTS:
         raise DataError(f"unknown view {which!r}; expected one of {_VIEWS}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_in_sample(report: GridReport):
-    widths = (7, 8, 15, 15, 15)
-    lines = [_render_row(("Input", "Hidden", "RMSE", "MAE", "MAPE"), widths)]
-    failures = {(f.p, f.h): f for f in report.failures}
-    averages = {a.p: a for a in report.per_input_averages}
+    lead, widths, averaged = _LAYOUTS[which]
+    per_cell = "Hidden" in lead  # a row per (p, h) cell
+    sample = (f"N={report.train_len}",) if "Sample" in lead else ()
     cells = {(c.p, c.h): c for c in report.cells}
-    for p in report.config.input_levels:
-        for h in report.config.hidden_levels:
-            cell = cells.get((p, h))
-            if cell is not None:
-                row = cell.in_sample
-                lines.append(
-                    _render_row((p, h, _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)), widths)
-                )
-            else:
-                failure = failures[(p, h)]
-                lines.append(_render_row((p, h, f"FAILED: {failure.error}"), widths[:3]))
-        avg = averages.get(p)
-        if avg is not None:
-            row = avg.in_sample
-            lines.append(
-                _render_row(
-                    ("Avgr", "", _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)), widths
-                )
-            )
-    return lines
-
-
-def _render_out_sample(report: GridReport):
-    widths = (7, 15, 15, 15)
-    lines = []
+    errors = {(f.p, f.h): f.error for f in report.failures}
     averages = {a.p: a for a in report.per_input_averages}
-    rw = dict(report.random_walk_rows)
-    for block, (label, _) in enumerate(report.config.horizon_spec.windows):
-        if block:
-            lines.append("")
-        lines.append(
-            _render_row(
-                ("Input", f"RMSE({label})", f"MAE({label})", f"MAPE({label})"), widths
-            )
-        )
-        for p in report.config.input_levels:
-            avg = averages.get(p)
-            if avg is None:
-                lines.append(_render_row((p, "FAILED: no surviving cells"), widths[:2]))
-                continue
-            row = dict(avg.out_sample)[label]
-            lines.append(
-                _render_row((p, _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)), widths)
-            )
-        row = rw[label]
-        lines.append(
-            _render_row(("RW", _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)), widths)
-        )
-    return lines
-
-
-def _render_hidden_effect(report: GridReport):
-    widths = (10, 7, 8, 15, 15, 15)
-    sample = f"N={report.train_len}"
     lines = []
-    failures = {(f.p, f.h): f for f in report.failures}
-    cells = {(c.p, c.h): c for c in report.cells}
-    for block, (label, _) in enumerate(report.config.horizon_spec.windows):
-        if block:
+
+    def row(lead_values, item):
+        tail = (f"FAILED: {item}",) if isinstance(item, str) else _metric_columns(item)
+        lines.append(_render_row((*lead_values, *tail), widths))
+
+    def pick(item, label):
+        return item.in_sample if label is None else dict(item.out_sample)[label]
+
+    for label in (None,) if which == "in_sample" else report.config.horizon_spec.labels:
+        suffix = "" if label is None else f"({label})"
+        if lines:
             lines.append("")
-        lines.append(
-            _render_row(
-                ("Sample", "Input", "Hidden",
-                 f"RMSE({label})", f"MAE({label})", f"MAPE({label})"),
-                widths,
-            )
-        )
+        lines.append(_render_row((*lead, *(m + suffix for m in ("RMSE", "MAE", "MAPE"))), widths))
         for p in report.config.input_levels:
-            for h in report.config.hidden_levels:
+            for h in report.config.hidden_levels if per_cell else ():
                 cell = cells.get((p, h))
-                if cell is None:
-                    failure = failures[(p, h)]
-                    lines.append(
-                        _render_row((sample, p, h, f"FAILED: {failure.error}"), widths[:4])
-                    )
-                    continue
-                row = dict(cell.out_sample)[label]
-                lines.append(
-                    _render_row(
-                        (sample, p, h, _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)),
-                        widths,
-                    )
-                )
-    return lines
+                row((*sample, p, h), errors[p, h] if cell is None else pick(cell, label))
+            # a per-cell view has already shown why an input level has no average
+            if averaged and (p in averages or not per_cell):
+                row(("Avgr", "") if per_cell else (p,),
+                    pick(averages[p], label) if p in averages else "no surviving cells")
+        if averaged and label is not None:
+            row(("RW",), dict(report.random_walk_rows)[label])
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

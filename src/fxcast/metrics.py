@@ -82,15 +82,32 @@ class HorizonSpec:
         return tuple(label for label, _ in self.windows)
 
 
+def _rmse(diff) -> float:
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+def _mae(diff) -> float:
+    return float(np.mean(np.abs(diff)))
+
+
+def _mape(actual, diff) -> float:
+    if np.any(actual == 0.0):
+        raise DataError("MAPE undefined: actual values contain zero")
+    return float(np.mean(np.abs(diff / actual)) * 100.0)
+
+
+def _metric_row(actual, diff) -> MetricRow:
+    return MetricRow(rmse=_rmse(diff), mae=_mae(diff), mape=_mape(actual, diff))
+
+
 def rmse(fs: ForecastSet) -> float:
     """Root mean squared error: sqrt(sum((y - yhat)^2) / T)."""
-    diff = fs.actual - fs.predicted
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _rmse(fs.actual - fs.predicted)
 
 
 def mae(fs: ForecastSet) -> float:
     """Mean absolute error: sum(|y - yhat|) / T."""
-    return float(np.mean(np.abs(fs.actual - fs.predicted)))
+    return _mae(fs.actual - fs.predicted)
 
 
 def mape(fs: ForecastSet) -> float:
@@ -99,14 +116,12 @@ def mape(fs: ForecastSet) -> float:
     Undefined when any actual value is zero; that raises rather than being
     patched with an epsilon, since a zero actual signals corrupt input here.
     """
-    if np.any(fs.actual == 0.0):
-        raise DataError("MAPE undefined: actual values contain zero")
-    return float(np.mean(np.abs((fs.actual - fs.predicted) / fs.actual)) * 100.0)
+    return _mape(fs.actual, fs.actual - fs.predicted)
 
 
 def metric_row(fs: ForecastSet) -> MetricRow:
     """All three measures for one forecast set."""
-    return MetricRow(rmse=rmse(fs), mae=mae(fs), mape=mape(fs))
+    return _metric_row(fs.actual, fs.actual - fs.predicted)
 
 
 def random_walk(history_last: float, test) -> ForecastSet:
@@ -124,12 +139,12 @@ def random_walk(history_last: float, test) -> ForecastSet:
 
 def evaluate_horizons(fs: ForecastSet, spec: HorizonSpec = HorizonSpec()):
     """Metric rows over each horizon prefix of the forecast stream."""
+    diff = fs.actual - fs.predicted
     rows = []
     for label, length in spec.windows:
         if length > len(fs):
             raise DataError(
                 f"horizon window {label!r} needs {length} forecasts, have {len(fs)}"
             )
-        prefix = ForecastSet(fs.actual[:length], fs.predicted[:length])
-        rows.append((label, metric_row(prefix)))
+        rows.append((label, _metric_row(fs.actual[:length], diff[:length])))
     return tuple(rows)

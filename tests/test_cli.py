@@ -11,6 +11,7 @@ from fxcast.cli import (
     EXIT_USAGE,
     main,
 )
+from fxcast.experiment import _VIEWS
 
 
 def write_series(path, n=120, seed=3, kind="noisy_ar1", **params):
@@ -234,26 +235,34 @@ class TestReport:
         ("cell", "p", 7, "in_sample"),  # a cell off the header's grid
         ("random_walk", "rows", [["1m", {"rmse": 1.0, "mae": 1.0, "mape": 1.0}]],
          "out_sample"),  # random-walk labels that differ from the horizons
+        # numbers that int() or float() would coerce into valid-looking ones
+        ("cell", "p", 1.5, "in_sample"),
+        ("cell", "p", True, "in_sample"),
+        ("cell", "p", "1", "in_sample"),
+        ("header", "train_len", 60.9, "hidden_effect"),
+        ("cell", "best_sse", float("nan"), "in_sample"),
+        ("cell", "best_sse", -1.0, "in_sample"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
         with open(report_file) as handle:
             records = [json.loads(line) for line in handle]
-        target = next(r for r in records if r.get("type") == record_type)
+        target = next(r for r in records if r.get("type", "header") == record_type)
         target[field] = value
         with open(report_file, "w") as handle:
             handle.writelines(json.dumps(r) + "\n" for r in records)
         assert main(["report", report_file, "--view", view]) == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
-    def test_matches_grid_stdout_rendering(self, data_file, report_file, capsys):
+    @pytest.mark.parametrize("view", _VIEWS)
+    def test_matches_grid_stdout_rendering(self, data_file, report_file, view, capsys):
         # report re-renders exactly what grid printed for the same view
         main(["grid", data_file, "--inputs", "1..2", "--hidden", "2",
               "--seed", "1", "--workers", "1", *FAST])
         grid_out = capsys.readouterr().out
-        main(["report", report_file, "--view", "in_sample"])
+        main(["report", report_file, "--view", view])
         view_out = capsys.readouterr().out
-        assert view_out.rstrip("\n") in grid_out
+        assert f"# {view}\n{view_out}" in grid_out
 
 
 class TestSeedEnvironment:

@@ -480,21 +480,108 @@ class TestReportPersistence:
 
 
 def tiny_report():
+    """A 3 x 2 report: one failed cell at p=2 and every cell failed at p=3."""
     row = MetricRow(rmse=1.0, mae=0.5, mape=10.0)
-    out = (("1w", row), ("4w", row))
+    other = MetricRow(rmse=2.0, mae=0.25, mape=12.5)
+    out = (("1w", row), ("4w", other))
+    rw = (("1w", MetricRow(3.0, 1.5, 30.0)), ("4w", MetricRow(4.0, 2.0, 40.0)))
     cells = [
         CellResult(p=1, h=2, in_sample=row, out_sample=out, best_sse=0.5),
-        CellResult(p=1, h=3, in_sample=row, out_sample=out, best_sse=0.5),
+        CellResult(p=1, h=3, in_sample=other, out_sample=(("1w", other), ("4w", row)),
+                   best_sse=0.5),
+        CellResult(p=2, h=3, in_sample=row, out_sample=out, best_sse=0.5),
     ]
-    failures = [CellFailure(p=2, h=2, error="all 2 restarts diverged")]
+    failures = [
+        CellFailure(p=2, h=2, error="all 2 restarts diverged"),
+        CellFailure(p=3, h=2, error="all 2 restarts diverged"),
+        CellFailure(p=3, h=3, error="MAPE undefined: actual values contain zero"),
+    ]
     cells_cfg = GridConfig(
-        input_levels=(1, 2), hidden_levels=(2, 3), train_cfg=FAST_TRAIN,
+        input_levels=(1, 2, 3), hidden_levels=(2, 3), train_cfg=FAST_TRAIN,
         horizon_spec=SHORT_HORIZONS,
     )
-    extra = CellResult(p=2, h=3, in_sample=row, out_sample=out, best_sse=0.5)
-    return GridReport.build(
-        cells + [extra], failures, out, cells_cfg, "unit", 110, 10
-    )
+    return GridReport.build(cells, failures, rw, cells_cfg, "unit", 110, 10)
+
+
+def all_failed_report():
+    rw = (("1w", MetricRow(3.0, 1.5, 30.0)), ("4w", MetricRow(4.0, 2.0, 40.0)))
+    failures = [CellFailure(p=p, h=4, error=f"all 2 restarts diverged at p={p}")
+                for p in (1, 2)]
+    grid = GridConfig(input_levels=(1, 2), hidden_levels=(4,), train_cfg=FAST_TRAIN,
+                      horizon_spec=SHORT_HORIZONS)
+    return GridReport.build([], failures, rw, grid, "unit", 60, 10)
+
+
+# The exact text of every view of both reports: column widths, 8-decimal
+# metrics, failure rows and the blank line between blocks.
+VIEW_TEXT = {
+    ("tiny_report", "in_sample"): """\
+Input  Hidden  RMSE           MAE            MAPE
+1      2       1.00000000     0.50000000     10.00000000
+1      3       2.00000000     0.25000000     12.50000000
+Avgr           1.50000000     0.37500000     11.25000000
+2      2       FAILED: all 2 restarts diverged
+2      3       1.00000000     0.50000000     10.00000000
+Avgr           1.00000000     0.50000000     10.00000000
+3      2       FAILED: all 2 restarts diverged
+3      3       FAILED: MAPE undefined: actual values contain zero
+""",
+    ("tiny_report", "out_sample_by_input"): """\
+Input  RMSE(1w)       MAE(1w)        MAPE(1w)
+1      1.50000000     0.37500000     11.25000000
+2      1.00000000     0.50000000     10.00000000
+3      FAILED: no surviving cells
+RW     3.00000000     1.50000000     30.00000000
+
+Input  RMSE(4w)       MAE(4w)        MAPE(4w)
+1      1.50000000     0.37500000     11.25000000
+2      2.00000000     0.25000000     12.50000000
+3      FAILED: no surviving cells
+RW     4.00000000     2.00000000     40.00000000
+""",
+    ("tiny_report", "hidden_effect"): """\
+Sample    Input  Hidden  RMSE(1w)       MAE(1w)        MAPE(1w)
+N=110     1      2       1.00000000     0.50000000     10.00000000
+N=110     1      3       2.00000000     0.25000000     12.50000000
+N=110     2      2       FAILED: all 2 restarts diverged
+N=110     2      3       1.00000000     0.50000000     10.00000000
+N=110     3      2       FAILED: all 2 restarts diverged
+N=110     3      3       FAILED: MAPE undefined: actual values contain zero
+
+Sample    Input  Hidden  RMSE(4w)       MAE(4w)        MAPE(4w)
+N=110     1      2       2.00000000     0.25000000     12.50000000
+N=110     1      3       1.00000000     0.50000000     10.00000000
+N=110     2      2       FAILED: all 2 restarts diverged
+N=110     2      3       2.00000000     0.25000000     12.50000000
+N=110     3      2       FAILED: all 2 restarts diverged
+N=110     3      3       FAILED: MAPE undefined: actual values contain zero
+""",
+    ("all_failed_report", "in_sample"): """\
+Input  Hidden  RMSE           MAE            MAPE
+1      4       FAILED: all 2 restarts diverged at p=1
+2      4       FAILED: all 2 restarts diverged at p=2
+""",
+    ("all_failed_report", "out_sample_by_input"): """\
+Input  RMSE(1w)       MAE(1w)        MAPE(1w)
+1      FAILED: no surviving cells
+2      FAILED: no surviving cells
+RW     3.00000000     1.50000000     30.00000000
+
+Input  RMSE(4w)       MAE(4w)        MAPE(4w)
+1      FAILED: no surviving cells
+2      FAILED: no surviving cells
+RW     4.00000000     2.00000000     40.00000000
+""",
+    ("all_failed_report", "hidden_effect"): """\
+Sample    Input  Hidden  RMSE(1w)       MAE(1w)        MAPE(1w)
+N=60      1      4       FAILED: all 2 restarts diverged at p=1
+N=60      2      4       FAILED: all 2 restarts diverged at p=2
+
+Sample    Input  Hidden  RMSE(4w)       MAE(4w)        MAPE(4w)
+N=60      1      4       FAILED: all 2 restarts diverged at p=1
+N=60      2      4       FAILED: all 2 restarts diverged at p=2
+""",
+}
 
 
 class TestRenderTable:
@@ -522,3 +609,8 @@ class TestRenderTable:
     def test_unknown_view(self):
         with pytest.raises(DataError):
             render_table(tiny_report(), "bogus")
+
+    @pytest.mark.parametrize("name, view", VIEW_TEXT)
+    def test_exact_text(self, name, view):
+        build = {"tiny_report": tiny_report, "all_failed_report": all_failed_report}[name]
+        assert render_table(build(), view) == VIEW_TEXT[name, view]
