@@ -9,7 +9,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,30 @@ from .metrics import (
     metric_row,
     random_walk,
 )
-from .mlp import Architecture, TrainConfig, predict, train_multi_restart
+from .mlp import (
+    Architecture,
+    TrainConfig,
+    TrainResult,
+    _best_restart,
+    _initial_nets,
+    _train_block,
+    predict,
+    train_multi_restart,
+)
 from .series import TimeSeries, WindowedDataset, fit_scaler, make_windows
 
 _REPORT_FORMAT = "fxcast-grid-report"
 _REPORT_VERSION = 1
 
 _SYNTH_EPOCH = datetime.date(2000, 1, 7)
+
+# Most row-space doubles, sum of (h + 1) over the networks times the
+# pattern count n, that one training block of run_grid may hold. Blocks
+# save numpy calls at a few hundred patterns but lose to cache misses at
+# about a thousand: with 2 MB of L2 per core, one block for a whole input
+# level of 5 widths x 2 restarts ran 25-35% slower per network-epoch at
+# n = 1042, while 24 000 kept nearly all of the gain at n <= 299.
+_BLOCK_BUDGET = 24_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,12 @@ class CellResult:
     """Metrics for one (p, h) grid cell.
 
     ``train_seconds`` is wall-clock bookkeeping: it is excluded from equality
-    and never persisted, so report files stay reproducible run to run.
+    and never persisted, so report files stay reproducible run to run. From
+    ``evaluate_cell`` it is the whole call. From ``run_grid``, whose cells
+    train in shared blocks, it is the cell's share, by hidden rows (h + 1)
+    per restart, of its input level's set-up and of its blocks' training
+    time, plus its own scoring time, so the cells of a sweep still sum to
+    the work done.
     """
 
     p: int
@@ -161,30 +184,26 @@ def _input_averages(cells, config: GridConfig) -> tuple:
     return tuple(averages)
 
 
-def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: int,
-                  cfg: GridConfig):
-    """Train one (p, h) cell and score it; returns (CellResult, best network).
-
-    In-sample metrics cover the N - p training patterns. Out-of-sample
-    forecasts are one-step-ahead with teacher forcing: the input for test
-    position t is always the p most recent actual observations (train tail,
-    then preceding test actuals) — never the model's own forecasts. All
-    metrics are computed in original units.
-    """
-    started = time.perf_counter()
+def _scaled_windows(train_series: TimeSeries, p: int, scale: bool):
+    """(scaler or None, training windows of length p in scaled units)."""
     if len(train_series) <= p:
         raise DataError(f"training series length {len(train_series)} must exceed p={p}")
-
-    scaler = fit_scaler(train_series) if cfg.scale else None
+    scaler = fit_scaler(train_series) if scale else None
     data = make_windows(train_series, p)
     if scaler is not None:
         # elementwise, so the same values as windowing the scaled series
         data = WindowedDataset(p, scaler.apply(data.inputs), scaler.apply(data.targets))
+    return scaler, data
 
-    arch = Architecture(input_count=p, hidden_count=h)
-    result = train_multi_restart(arch, data, cfg.train_cfg)
+
+def _score_cell(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
+                scaler, data: WindowedDataset, h: int, result: TrainResult,
+                seconds: float) -> CellResult:
+    """The cell of ``result``'s network: its metrics, and ``seconds`` plus the
+    time this scoring takes as ``train_seconds``."""
+    started = time.perf_counter()
     net = result.best_net
-
+    p = data.window_len
     in_pred = predict(net, data.inputs)
     if scaler is not None:
         in_pred = scaler.invert(in_pred)
@@ -200,16 +219,33 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     out_rows = evaluate_horizons(
         ForecastSet(test_series.values, out_pred), cfg.horizon_spec
     )
-
-    cell = CellResult(
+    return CellResult(
         p=p,
         h=h,
         in_sample=in_row,
         out_sample=out_rows,
         best_sse=result.best_sse,
-        train_seconds=time.perf_counter() - started,
+        train_seconds=seconds + time.perf_counter() - started,
     )
-    return cell, net
+
+
+def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: int,
+                  cfg: GridConfig):
+    """Train one (p, h) cell and score it; returns (CellResult, best network).
+
+    In-sample metrics cover the N - p training patterns. Out-of-sample
+    forecasts are one-step-ahead with teacher forcing: the input for test
+    position t is always the p most recent actual observations (train tail,
+    then preceding test actuals) — never the model's own forecasts. All
+    metrics are computed in original units.
+    """
+    started = time.perf_counter()
+    scaler, data = _scaled_windows(train_series, p, cfg.scale)
+    result = train_multi_restart(Architecture(input_count=p, hidden_count=h), data,
+                                 cfg.train_cfg)
+    cell = _score_cell(train_series, test_series, cfg, scaler, data, h, result,
+                       time.perf_counter() - started)
+    return cell, result.best_net
 
 
 def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
@@ -219,16 +255,65 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
     return evaluate_horizons(fs, spec)
 
 
-def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
-                chunk) -> list:
-    """Run the (p, h) cells of one chunk in order; a cell with no usable
-    network becomes a CellFailure."""
+def _blocks(rows, n: int):
+    """Consecutive slices of networks with ``rows`` row-space rows each
+    (h + 1) whose training blocks hold at most ``_BLOCK_BUDGET`` row-space
+    doubles (rows times n patterns); a network over budget trains alone."""
+    start = used = 0
+    for i, count in enumerate(rows):
+        if i > start and (used + count) * n > _BLOCK_BUDGET:
+            yield slice(start, i)
+            start, used = i, 0
+        used += count
+    yield slice(start, len(rows))
+
+
+def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
+                 p: int, hidden_levels) -> list:
+    """The cells (p, h) for each h of ``hidden_levels``, as ``evaluate_cell``
+    scores them; a cell with no usable network becomes a CellFailure.
+
+    The windows are built and scaled once. The restarts of every h train in
+    (h, k) order in blocks of ``_train_block``, cut by ``_blocks``. A cell's
+    ``train_seconds`` is its restarts' share of the set-up and of their
+    blocks' training time, each split by rows (h + 1), plus its own
+    scoring time, so the cells' times still sum to the work done.
+    """
+    started = time.perf_counter()
+    try:
+        scaler, data = _scaled_windows(train_series, p, grid.scale)
+    except DataError as exc:
+        return [CellFailure(p=p, h=h, error=str(exc)) for h in hidden_levels]
+    cfg = grid.train_cfg
+    nets0 = [net for h in hidden_levels for net in _initial_nets(Architecture(p, h), cfg)]
+    rows = [net.arch.hidden_count + 1 for net in nets0]
+    setup = (time.perf_counter() - started) / sum(rows)
+    seconds = [setup * count for count in rows]
+    runs = []
+    for block in _blocks(rows, len(data.targets)):
+        started = time.perf_counter()
+        runs += _train_block(nets0[block], data, cfg)
+        share = (time.perf_counter() - started) / sum(rows[block])
+        for i in range(block.start, block.stop):
+            seconds[i] += share * rows[i]
     items = []
-    for p, h in chunk:
+    for j, h in enumerate(hidden_levels):
+        cell = slice(j * cfg.restarts, (j + 1) * cfg.restarts)
         try:
-            items.append(evaluate_cell(train_series, test_series, p, h, grid)[0])
+            items.append(_score_cell(train_series, test_series, grid, scaler, data, h,
+                                     _best_restart(runs[cell]), sum(seconds[cell])))
         except (DataError, DivergenceError) as exc:
             items.append(CellFailure(p=p, h=h, error=str(exc)))
+    return items
+
+
+def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
+                chunk) -> list:
+    """The items of the (p, h) cells of one chunk, in order, one input level
+    at a time."""
+    items = []
+    for p, cells in groupby(chunk, key=itemgetter(0)):
+        items += _level_cells(train_series, test_series, grid, p, [h for _, h in cells])
     return items
 
 
@@ -253,14 +338,22 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
              workers: int = 1, sink=None, progress=None) -> GridReport:
     """Evaluate every (p, h) cell of the grid and assemble the report.
 
-    Cells run independently — serially, or on a process pool when
-    ``workers`` > 1 — and the output is identical either way: restart seeds
-    depend only on (master_seed, p, h, restart). The pool runs the
-    contiguous chunks of ``_chunk_schedule`` on at most one process per
-    chunk, and their results are read back in (p, h) order: a cell's record
-    goes to ``sink`` and ``progress`` once its chunk and every chunk before
-    it are done. With ``sink`` set, an interrupted sweep leaves a valid
-    prefix.
+    The grid runs in chunks of contiguous cells: serially one chunk per
+    input level, or, when ``workers`` > 1, the chunks of ``_chunk_schedule``
+    on a process pool of at most one process per chunk. Within a chunk, the
+    cells of each input level p share one scaled set of windows, and the
+    restarts of all their hidden widths train in (h, restart) order in row
+    blocks: runs of networks whose hidden rows, sum of (h + 1), times the
+    pattern count stay within ``_BLOCK_BUDGET`` doubles train together in
+    one ``_train_block``. Blocking only saves numpy calls: every network
+    gets the bits that ``train`` gives it alone, and restart seeds depend
+    only on (master_seed, p, h, restart), so the output is identical at any
+    worker count and equals ``evaluate_cell`` cell by cell.
+
+    Results are read back in (p, h) order: a cell's record goes to ``sink``
+    and ``progress`` once its chunk and every chunk before it are done, so
+    a serial sweep reports one input level at a time. With ``sink`` set, an
+    interrupted sweep leaves a valid prefix.
 
     Per-cell failures (e.g. every restart diverged) are recorded in the
     report instead of aborting the remaining cells.
@@ -278,7 +371,7 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     task = partial(_chunk_task, train_series, test_series, grid)
     pool = None
     if workers == 1:
-        chunks = map(task, ([cell] for cell in order))
+        chunks = map(task, ([(p, h) for h in grid.hidden_levels] for p in grid.input_levels))
     else:
         schedule = _chunk_schedule(order, workers)
         pool = ProcessPoolExecutor(max_workers=min(workers, len(schedule)))
@@ -337,13 +430,41 @@ def _config_to_json(config: GridConfig) -> dict:
     }
 
 
+def _typed(value, kinds: tuple, what: str):
+    """``value`` if its type is one of ``kinds``. GridConfig and HorizonSpec
+    run int() on their values, so a 1.5 or a true must be rejected here."""
+    if type(value) not in kinds:
+        raise ReportFormatError(f"{what} {value!r} is not of type "
+                                f"{' or '.join(kind.__name__ for kind in kinds)}")
+    return value
+
+
 def _config_from_json(obj) -> GridConfig:
+    """The GridConfig of a header, each value of the JSON type that
+    ``_config_to_json`` writes for it."""
+    def levels(key):
+        return tuple(_typed(v, (int,), key) for v in _typed(obj[key], (list,), key))
+
+    train_cfg = _typed(obj["train_cfg"], (dict,), "train_cfg")
+    # a float field may hold an int, as a TrainConfig built in code may
+    kinds = {f.name: (int, float) if type(f.default) is float else (int,)
+             for f in fields(TrainConfig)}
+    if set(train_cfg) != set(kinds):
+        raise ReportFormatError(f"train_cfg fields {sorted(train_cfg)} are not {sorted(kinds)}")
+    for name, value in train_cfg.items():
+        if type(_typed(value, kinds[name], name)) is float and not np.isfinite(value):
+            raise ReportFormatError(f"{name} {value!r} is not finite")
+    horizons = []
+    for window in _typed(obj["horizons"], (list,), "horizons"):
+        label, length = _typed(window, (list,), "horizon")
+        horizons.append((_typed(label, (str,), "horizon label"),
+                         _typed(length, (int,), "horizon length")))
     return GridConfig(
-        input_levels=tuple(obj["input_levels"]),
-        hidden_levels=tuple(obj["hidden_levels"]),
-        train_cfg=TrainConfig(**obj["train_cfg"]),
-        horizon_spec=HorizonSpec(tuple((l, n) for l, n in obj["horizons"])),
-        scale=obj["scale"],
+        input_levels=levels("input_levels"),
+        hidden_levels=levels("hidden_levels"),
+        train_cfg=TrainConfig(**train_cfg),
+        horizon_spec=HorizonSpec(tuple(horizons)),
+        scale=_typed(obj["scale"], (bool,), "scale"),
     )
 
 
@@ -442,7 +563,10 @@ def load_report(source) -> GridReport:
         raise ReportVersionError(f"unsupported report version {header.get('version')!r}")
     try:
         config = _config_from_json(header["config"])
-        series_name = header["series"]
+        if _typed(header["master_seed"], (int,), "master_seed") != config.train_cfg.master_seed:
+            raise ReportFormatError(f"master_seed {header['master_seed']} differs from "
+                                    f"train_cfg's {config.train_cfg.master_seed}")
+        series_name = _typed(header["series"], (str,), "series")
         train_len = header["train_len"]
         test_len = header["test_len"]
         if not all(type(n) is int for n in (train_len, test_len)):

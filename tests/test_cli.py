@@ -242,12 +242,24 @@ class TestReport:
         ("header", "train_len", 60.9, "hidden_effect"),
         ("cell", "best_sse", float("nan"), "in_sample"),
         ("cell", "best_sse", -1.0, "in_sample"),
+        # config values that GridConfig, HorizonSpec or TrainConfig would
+        # coerce or keep; a dotted field names a nested value
+        ("header", "config.input_levels", [1.5, 2], "in_sample"),
+        ("header", "config.hidden_levels", [2.0], "in_sample"),
+        ("header", "config.horizons.0.1", 4.9, "out_sample"),
+        ("header", "config.train_cfg.restarts", 1.5, "in_sample"),
+        ("header", "config.train_cfg.max_epochs", True, "in_sample"),
+        ("header", "config.scale", "no", "in_sample"),
+        ("header", "master_seed", 2, "in_sample"),  # train_cfg's is 1
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
         with open(report_file) as handle:
             records = [json.loads(line) for line in handle]
         target = next(r for r in records if r.get("type", "header") == record_type)
+        *parents, field = (int(key) if key.isdigit() else key for key in field.split("."))
+        for key in parents:
+            target = target[key]
         target[field] = value
         with open(report_file, "w") as handle:
             handle.writelines(json.dumps(r) + "\n" for r in records)

@@ -12,6 +12,7 @@ from fxcast import (
     CellFailure,
     CellResult,
     DataError,
+    DivergenceError,
     GridConfig,
     GridReport,
     HorizonSpec,
@@ -30,10 +31,13 @@ from fxcast import (
     run_grid,
     save_report,
     split_by_count,
+    sse,
     synthesize_series,
+    train,
 )
 from fxcast import experiment
 from fxcast.experiment import _chunk_schedule
+from fxcast.mlp import _initial_nets
 
 from conftest import series_of
 
@@ -362,6 +366,47 @@ class TestRunGrid:
         with pytest.raises(Failing):
             run_grid(train_series, test_series, grid, workers=2, sink=FailingSink())
         assert time.perf_counter() - started < 0.5 * whole
+
+
+class TestLevelBlocks:
+    # run_grid trains the restarts of all hidden widths of one input level
+    # together; evaluate_cell trains one cell restart by restart
+    @pytest.mark.parametrize("learning_rate, max_epochs, outcomes", [
+        (3e-3, 200, {"stopped early", "ran to the cap"}),
+        (1e-1, 300, {"all restarts diverged"}),
+    ])
+    def test_cells_equal_evaluate_cell(self, ar_split, learning_rate, max_epochs, outcomes):
+        train_series, test_series = ar_split
+        cfg = TrainConfig(learning_rate=learning_rate, max_epochs=max_epochs,
+                          min_sse_delta=1e-3, restarts=2, master_seed=11)
+        grid = small_grid(input_levels=(1, 2, 4), hidden_levels=(2, 3, 5, 8), train_cfg=cfg)
+        # each input level's 8 networks fit one block
+        rows = sum(2 * (h + 1) for h in grid.hidden_levels)
+        assert rows * (len(train_series) - 1) <= experiment._BLOCK_BUDGET
+        reports = [run_grid(train_series, test_series, grid, workers=w) for w in (1, 2)]
+        scaler = fit_scaler(train_series)
+        scaled = TimeSeries(train_series.dates, scaler.apply(train_series.values),
+                            train_series.name)
+        seen = set()
+        for p in grid.input_levels:
+            data = make_windows(scaled, p)
+            for h in grid.hidden_levels:
+                try:
+                    cell, net = evaluate_cell(train_series, test_series, p, h, grid)
+                except DivergenceError as exc:
+                    seen.add("all restarts diverged")
+                    for report in reports:
+                        assert CellFailure(p=p, h=h, error=str(exc)) in report.failures
+                    continue
+                for report in reports:
+                    assert cell in report.cells
+                assert cell.best_sse == sse(net, data)
+                for net0 in _initial_nets(net.arch, cfg):
+                    run = train(net0, data, cfg)
+                    seen.add("some restarts diverged" if run.diverged else
+                             "stopped early" if run.epochs_run < max_epochs else
+                             "ran to the cap")
+        assert outcomes <= seen
 
 
 @pytest.mark.parametrize("cells, workers", [

@@ -350,6 +350,49 @@ class TestTrain:
         assert len(failures) <= 5
 
 
+class TestTrainBlock:
+    def test_each_network_trains_as_alone(self):
+        # networks leave a block by diverging, by the stop rule or at the
+        # epoch cap, at different epochs; each run must be the bits of
+        # train() on that network alone
+        rng = np.random.default_rng(8080)
+        outcomes = {"diverged": 0, "stopped early": 0, "ran to the cap": 0}
+        for _ in range(40):
+            p = int(rng.integers(1, 6))
+            n = int(rng.integers(3, 120))
+            hs = [int(h) for h in rng.integers(1, 13, size=int(rng.integers(2, 7)))]
+            data = make_windows(series_of(rng.uniform(0, 1, n + p)), p)
+            cfg = TrainConfig(
+                learning_rate=float(10 ** rng.uniform(-2, 3)) / n,
+                max_epochs=int(rng.integers(1, 150)),
+                min_sse_delta=float(rng.choice([0.0, 1e-6, 1e-4, 1e-2])),
+            )
+            nets0 = [init_weights(Architecture(p, h), int(rng.integers(1 << 30)),
+                                  float(rng.uniform(0.1, 4.0))) for h in hs]
+            for net0, run in zip(nets0, fxcast.mlp._train_block(nets0, data, cfg)):
+                alone = train(net0, data, cfg)
+                assert run.diverged == alone.diverged
+                assert run.sse == alone.sse
+                assert run.sse_trace.tobytes() == alone.sse_trace.tobytes()
+                for got, want in ((run.net.hidden_weights, alone.net.hidden_weights),
+                                  (run.net.hidden_biases, alone.net.hidden_biases),
+                                  (run.net.output_weights, alone.net.output_weights)):
+                    assert got.tobytes() == want.tobytes()
+                assert run.net.output_bias == alone.net.output_bias
+                # a run ends at its last finite state, diverged or not
+                assert sse(run.net, data) == run.sse
+                assert run.sse_trace.size == 0 or run.sse_trace[-1] == run.sse
+                outcomes["diverged" if run.diverged else "stopped early"
+                         if run.epochs_run < cfg.max_epochs else "ran to the cap"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_window_mismatch(self):
+        data = make_windows(series_of(np.linspace(0.1, 0.9, 12)), 2)
+        nets0 = [init_weights(Architecture(2, 3), 1, 0.5), init_weights(Architecture(3, 3), 2, 0.5)]
+        with pytest.raises(DataError):
+            fxcast.mlp._train_block(nets0, data, TrainConfig())
+
+
 class TestMultiRestart:
     def make_data(self):
         rng = np.random.default_rng(55)
