@@ -22,11 +22,11 @@ from .errors import (
     ReportVersionError,
 )
 from .metrics import (
-    ForecastSet,
     HorizonSpec,
     MetricRow,
+    _horizon_rows,
+    _metric_rows,
     evaluate_horizons,
-    metric_row,
     random_walk,
 )
 from .mlp import (
@@ -35,8 +35,8 @@ from .mlp import (
     TrainResult,
     _best_restart,
     _initial_nets,
+    _predict_block,
     _train_block,
-    predict,
     train_multi_restart,
 )
 from .series import TimeSeries, WindowedDataset, fit_scaler, make_windows
@@ -89,10 +89,10 @@ class CellResult:
     ``train_seconds`` is wall-clock bookkeeping: it is excluded from equality
     and never persisted, so report files stay reproducible run to run. From
     ``evaluate_cell`` it is the whole call. From ``run_grid``, whose cells
-    train in shared blocks, it is the cell's share, by hidden rows (h + 1)
-    per restart, of its input level's set-up and of its blocks' training
-    time, plus its own scoring time, so the cells of a sweep still sum to
-    the work done.
+    train and are scored in shared blocks, it is the cell's share, by
+    hidden rows (h + 1) per restart, of its input level's set-up and of its
+    blocks' training time, plus an equal share of its input level's scoring
+    time, so the cells of a sweep still sum to the work done.
     """
 
     p: int
@@ -196,37 +196,48 @@ def _scaled_windows(train_series: TimeSeries, p: int, scale: bool):
     return scaler, data
 
 
-def _score_cell(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
-                scaler, data: WindowedDataset, h: int, result: TrainResult,
-                seconds: float) -> CellResult:
-    """The cell of ``result``'s network: its metrics, and ``seconds`` plus the
-    time this scoring takes as ``train_seconds``."""
-    started = time.perf_counter()
-    net = result.best_net
-    p = data.window_len
-    in_pred = predict(net, data.inputs)
-    if scaler is not None:
-        in_pred = scaler.invert(in_pred)
-    in_row = metric_row(ForecastSet(train_series.values[p:], in_pred))
+def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
+                 scaler, data: WindowedDataset, results, seconds) -> list:
+    """The items of the cells of one input level, one per item of ``results``:
+    each a cell's TrainResult, or the CellFailure of a cell left without a
+    network, which passes through.
 
+    The networks are scored as one block: one forward pass over the
+    training windows and one over the teacher-forced test windows, one
+    inverse scaling of each, and one reduction per measure and horizon. A
+    cell whose forecasts fail a check of ``metrics._horizon_rows`` becomes
+    a CellFailure with that check's message. A cell's ``train_seconds`` is
+    its entry of ``seconds`` plus an equal share of this scoring time.
+    """
+    started = time.perf_counter()
+    p = data.window_len
+    live = [j for j, result in enumerate(results) if isinstance(result, TrainResult)]
+    items = list(results)
+    if not live:
+        return items
+    nets = [results[j].best_net for j in live]
     combined = np.concatenate((train_series.values[-p:], test_series.values))
     if scaler is not None:
         combined = scaler.apply(combined)
     test_inputs = np.lib.stride_tricks.sliding_window_view(combined, p)[: len(test_series)]
-    out_pred = predict(net, test_inputs)
+    in_pred = _predict_block(nets, data.inputs)
+    out_pred = _predict_block(nets, test_inputs)
     if scaler is not None:
-        out_pred = scaler.invert(out_pred)
-    out_rows = evaluate_horizons(
-        ForecastSet(test_series.values, out_pred), cfg.horizon_spec
-    )
-    return CellResult(
-        p=p,
-        h=h,
-        in_sample=in_row,
-        out_sample=out_rows,
-        best_sse=result.best_sse,
-        train_seconds=seconds + time.perf_counter() - started,
-    )
+        # a huge but finite output may overflow here; the scoring names it
+        with np.errstate(over="ignore"):
+            in_pred, out_pred = scaler.invert(in_pred), scaler.invert(out_pred)
+    in_rows = _metric_rows(train_series.values[p:], in_pred, "in-sample forecasts")
+    out_rows = _horizon_rows(test_series.values, out_pred, cfg.horizon_spec,
+                             "out-of-sample forecasts")
+    share = (time.perf_counter() - started) / len(results)
+    for j, in_row, out_row in zip(live, in_rows, out_rows):
+        result = results[j]
+        h = result.best_net.arch.hidden_count
+        error = next((row for row in (in_row, out_row) if isinstance(row, str)), None)
+        items[j] = (CellFailure(p=p, h=h, error=error) if error is not None else
+                    CellResult(p=p, h=h, in_sample=in_row, out_sample=out_row,
+                               best_sse=result.best_sse, train_seconds=seconds[j] + share))
+    return items
 
 
 def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: int,
@@ -237,14 +248,17 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     forecasts are one-step-ahead with teacher forcing: the input for test
     position t is always the p most recent actual observations (train tail,
     then preceding test actuals) — never the model's own forecasts. All
-    metrics are computed in original units.
+    metrics are computed in original units. Raises DivergenceError if every
+    restart diverged and DataError if the forecasts cannot be scored.
     """
     started = time.perf_counter()
     scaler, data = _scaled_windows(train_series, p, cfg.scale)
     result = train_multi_restart(Architecture(input_count=p, hidden_count=h), data,
                                  cfg.train_cfg)
-    cell = _score_cell(train_series, test_series, cfg, scaler, data, h, result,
-                       time.perf_counter() - started)
+    [cell] = _score_level(train_series, test_series, cfg, scaler, data, [result],
+                          [time.perf_counter() - started])
+    if isinstance(cell, CellFailure):
+        raise DataError(cell.error)
     return cell, result.best_net
 
 
@@ -276,8 +290,9 @@ def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridCo
     The windows are built and scaled once. The restarts of every h train in
     (h, k) order in blocks of ``_train_block``, cut by ``_blocks``. A cell's
     ``train_seconds`` is its restarts' share of the set-up and of their
-    blocks' training time, each split by rows (h + 1), plus its own
-    scoring time, so the cells' times still sum to the work done.
+    blocks' training time, each split by rows (h + 1), plus an equal share
+    of the level's scoring in ``_score_level``, so the cells' times still
+    sum to the work done.
     """
     started = time.perf_counter()
     try:
@@ -296,15 +311,15 @@ def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridCo
         share = (time.perf_counter() - started) / sum(rows[block])
         for i in range(block.start, block.stop):
             seconds[i] += share * rows[i]
-    items = []
-    for j, h in enumerate(hidden_levels):
-        cell = slice(j * cfg.restarts, (j + 1) * cfg.restarts)
+    cells = [slice(j * cfg.restarts, (j + 1) * cfg.restarts) for j in range(len(hidden_levels))]
+    results = []
+    for h, cell in zip(hidden_levels, cells):
         try:
-            items.append(_score_cell(train_series, test_series, grid, scaler, data, h,
-                                     _best_restart(runs[cell]), sum(seconds[cell])))
-        except (DataError, DivergenceError) as exc:
-            items.append(CellFailure(p=p, h=h, error=str(exc)))
-    return items
+            results.append(_best_restart(runs[cell]))
+        except DivergenceError as exc:
+            results.append(CellFailure(p=p, h=h, error=str(exc)))
+    return _score_level(train_series, test_series, grid, scaler, data, results,
+                        [sum(seconds[cell]) for cell in cells])
 
 
 def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
@@ -345,8 +360,10 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     restarts of all their hidden widths train in (h, restart) order in row
     blocks: runs of networks whose hidden rows, sum of (h + 1), times the
     pattern count stay within ``_BLOCK_BUDGET`` doubles train together in
-    one ``_train_block``. Blocking only saves numpy calls: every network
-    gets the bits that ``train`` gives it alone, and restart seeds depend
+    one ``_train_block``, and the winners of all widths are scored together
+    by ``_score_level``. Blocking only saves numpy calls: every network
+    gets the bits that ``train`` gives it alone, every cell the metrics
+    that scoring it alone gives, and restart seeds depend
     only on (master_seed, p, h, restart), so the output is identical at any
     worker count and equals ``evaluate_cell`` cell by cell.
 
@@ -408,7 +425,7 @@ def _row_to_json(row: MetricRow) -> dict:
 
 
 def _row_from_json(obj) -> MetricRow:
-    return MetricRow(rmse=obj["rmse"], mae=obj["mae"], mape=obj["mape"])
+    return MetricRow(*(_number(obj[name], name) for name in ("rmse", "mae", "mape")))
 
 
 def _labelled_rows_to_json(rows) -> list:
@@ -437,6 +454,16 @@ def _typed(value, kinds: tuple, what: str):
         raise ReportFormatError(f"{what} {value!r} is not of type "
                                 f"{' or '.join(kind.__name__ for kind in kinds)}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number: a true, which float()
+    would take as 1.0, is rejected, and so is an integer beyond the float
+    range."""
+    try:
+        return float(_typed(value, (int, float), what))
+    except OverflowError:
+        raise ReportFormatError(f"{what} is an integer too large for a float") from None
 
 
 def _config_from_json(obj) -> GridConfig:
@@ -550,7 +577,7 @@ def load_report(source) -> GridReport:
     def parse_line(index, text):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal past int()'s digit limit
             raise ReportFormatError(f"corrupt report line {index + 1}: {exc}") from None
         if not isinstance(obj, dict):
             raise ReportFormatError(f"corrupt report line {index + 1}: not a record")
@@ -610,8 +637,8 @@ def load_report(source) -> GridReport:
                 rw_rows = horizon_rows(obj["rows"])
             elif kind == "cell":
                 p, h = grid_key(obj)
-                best_sse = obj["best_sse"]
-                if type(best_sse) not in (int, float) or not 0.0 <= best_sse < np.inf:
+                best_sse = _number(obj["best_sse"], "best_sse")
+                if not 0.0 <= best_sse < np.inf:
                     raise ReportFormatError(f"best_sse {best_sse!r} is not finite and >= 0")
                 cells.append(
                     CellResult(
@@ -619,7 +646,7 @@ def load_report(source) -> GridReport:
                         h=h,
                         in_sample=_row_from_json(obj["in_sample"]),
                         out_sample=horizon_rows(obj["out_sample"]),
-                        best_sse=float(best_sse),
+                        best_sse=best_sse,
                     )
                 )
             elif kind == "failure":

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .series import _frozen_array
+
+
+_NONFINITE = "forecast set contains non-finite values"
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +31,7 @@ class ForecastSet:
         if len(self.actual) == 0:
             raise DataError("forecast set must contain at least one pair")
         if not (np.all(np.isfinite(self.actual)) and np.all(np.isfinite(self.predicted))):
-            raise DataError("forecast set contains non-finite values")
+            raise DataError(_NONFINITE)
 
     def __len__(self) -> int:
         return len(self.actual)
@@ -82,32 +86,102 @@ class HorizonSpec:
         return tuple(label for label, _ in self.windows)
 
 
-def _rmse(diff) -> float:
-    return float(np.sqrt(np.mean(diff * diff)))
+def _mean(x):
+    """The mean along the last axis, as np.mean takes it (the same sum over
+    the same count) without np.mean's few microseconds of Python."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _mae(diff) -> float:
-    return float(np.mean(np.abs(diff)))
+def _rmse(diff):
+    return np.sqrt(_mean(diff * diff))
 
 
-def _mape(actual, diff) -> float:
+def _mae(diff):
+    return _mean(np.abs(diff))
+
+
+def _mape(actual, diff):
     if np.any(actual == 0.0):
         raise DataError("MAPE undefined: actual values contain zero")
-    return float(np.mean(np.abs(diff / actual)) * 100.0)
+    return _mean(np.abs(diff / actual)) * 100.0
 
 
-def _metric_row(actual, diff) -> MetricRow:
-    return MetricRow(rmse=_rmse(diff), mae=_mae(diff), mape=_mape(actual, diff))
+def _measured(actual, diff, what: str) -> list:
+    """The MetricRow of each row of the (K, n) differences ``diff`` of
+    forecasts from the n values ``actual``, or the message of the first
+    check the row fails: a zero actual (MAPE), then a measure that
+    overflows, in a message where ``what`` names the forecasts.
+
+    Each measure is one reduction along the rows, which gives every row the
+    bits that its 1-D formula gives. Call under np.errstate(over="ignore"):
+    an overflow leaves an inf, which the second check turns into a message.
+    """
+    try:
+        columns = _rmse(diff).tolist(), _mae(diff).tolist(), _mape(actual, diff).tolist()
+    except DataError as exc:
+        return [str(exc)] * len(diff)
+    rows = []
+    for values in zip(*columns):
+        overflow = next((name for name, value in zip(("rmse", "mae", "mape"), values)
+                         if not math.isfinite(value)), None)
+        rows.append(MetricRow(*values) if overflow is None else f"{what} overflow the {overflow}")
+    return rows
+
+
+def _finite_only(predicted, items) -> list:
+    """``items``, one per row of ``predicted``, with the non-finite message
+    in place of the item of each row that holds a non-finite forecast."""
+    finite = np.isfinite(predicted).all(axis=-1).tolist()
+    return [item if ok else _NONFINITE for ok, item in zip(finite, items)]
+
+
+def _metric_rows(actual, predicted, what: str = "forecasts") -> list:
+    """Score each row of the (K, n) forecasts ``predicted`` of the n values
+    ``actual``: its MetricRow, or the message of the first check it fails,
+    non-finite forecasts first, then the checks of ``_measured``."""
+    with np.errstate(over="ignore"):
+        return _finite_only(predicted, _measured(actual, actual - predicted, what))
+
+
+def _horizon_rows(actual, predicted, spec: HorizonSpec, what: str = "forecasts") -> list:
+    """Score each row of the (K, n) forecasts ``predicted`` of the n values
+    ``actual`` over each horizon prefix.
+
+    Returns one item per row: its ((label, MetricRow), ...) tuple, or the
+    message of the first check it fails: non-finite forecasts anywhere in
+    the row, then, prefix by prefix, a window longer than n or a check of
+    ``_measured``.
+    """
+    n = predicted.shape[-1]
+    windows = []
+    with np.errstate(over="ignore"):
+        diff = actual - predicted
+        for label, length in spec.windows:
+            if length > n:
+                rows = [f"horizon window {label!r} needs {length} forecasts, have {n}"] * len(diff)
+            else:
+                rows = _measured(actual[:length], diff[:, :length], f"{what} over {label}")
+            windows.append([(label, row) for row in rows])
+    return _finite_only(predicted, [next((row for _, row in cell if isinstance(row, str)), cell)
+                                    for cell in zip(*windows)])
+
+
+def _one(items):
+    """The item of a block of one forecast set; a failure raises DataError."""
+    [item] = items
+    if isinstance(item, str):
+        raise DataError(item)
+    return item
 
 
 def rmse(fs: ForecastSet) -> float:
     """Root mean squared error: sqrt(sum((y - yhat)^2) / T)."""
-    return _rmse(fs.actual - fs.predicted)
+    return float(_rmse(fs.actual - fs.predicted))
 
 
 def mae(fs: ForecastSet) -> float:
     """Mean absolute error: sum(|y - yhat|) / T."""
-    return _mae(fs.actual - fs.predicted)
+    return float(_mae(fs.actual - fs.predicted))
 
 
 def mape(fs: ForecastSet) -> float:
@@ -116,12 +190,12 @@ def mape(fs: ForecastSet) -> float:
     Undefined when any actual value is zero; that raises rather than being
     patched with an epsilon, since a zero actual signals corrupt input here.
     """
-    return _mape(fs.actual, fs.actual - fs.predicted)
+    return float(_mape(fs.actual, fs.actual - fs.predicted))
 
 
 def metric_row(fs: ForecastSet) -> MetricRow:
     """All three measures for one forecast set."""
-    return _metric_row(fs.actual, fs.actual - fs.predicted)
+    return _one(_metric_rows(fs.actual, fs.predicted[None]))
 
 
 def random_walk(history_last: float, test) -> ForecastSet:
@@ -139,12 +213,4 @@ def random_walk(history_last: float, test) -> ForecastSet:
 
 def evaluate_horizons(fs: ForecastSet, spec: HorizonSpec = HorizonSpec()):
     """Metric rows over each horizon prefix of the forecast stream."""
-    diff = fs.actual - fs.predicted
-    rows = []
-    for label, length in spec.windows:
-        if length > len(fs):
-            raise DataError(
-                f"horizon window {label!r} needs {length} forecasts, have {len(fs)}"
-            )
-        rows.append((label, _metric_row(fs.actual[:length], diff[:length])))
-    return tuple(rows)
+    return _one(_horizon_rows(fs.actual, fs.predicted[None], spec))

@@ -355,15 +355,22 @@ def _forward(params: _Params, block: _Block) -> np.ndarray:
     return block.out
 
 
-def predict(net: Mlp, inputs) -> np.ndarray:
-    """Network outputs for a matrix of input patterns, one row per pattern."""
+def _predict_block(nets, inputs) -> np.ndarray:
+    """Outputs of the networks ``nets``, which share one input count, for a
+    matrix of input patterns: a (K, n) array with one row per network, each
+    row the bits that ``predict`` gives for that network alone."""
     x = np.asarray(inputs, dtype=float)
-    p, h = net.arch.input_count, net.arch.hidden_count
+    p = nets[0].arch.input_count
     if x.ndim != 2 or x.shape[1] != p:
         raise DataError(f"input matrix shape {x.shape} does not match (n, {p})")
-    block = _Block(x, (h,))
+    block = _Block(x, [net.arch.hidden_count for net in nets])
     with np.errstate(over="ignore"):
-        return _forward(block.params([net]), block)[0]
+        return _forward(block.params(nets), block)
+
+
+def predict(net: Mlp, inputs) -> np.ndarray:
+    """Network outputs for a matrix of input patterns, one row per pattern."""
+    return _predict_block([net], inputs)[0]
 
 
 def forward(net: Mlp, input) -> float:

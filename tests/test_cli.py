@@ -251,6 +251,13 @@ class TestReport:
         ("header", "config.train_cfg.max_epochs", True, "in_sample"),
         ("header", "config.scale", "no", "in_sample"),
         ("header", "master_seed", 2, "in_sample"),  # train_cfg's is 1
+        # metric values must be JSON numbers that a float can hold
+        ("cell", "in_sample.rmse", True, "in_sample"),
+        ("cell", "in_sample.mape", "1.0", "in_sample"),
+        ("cell", "out_sample.0.1.mae", False, "out_sample"),
+        ("random_walk", "rows.0.1.rmse", True, "out_sample"),
+        pytest.param("cell", "in_sample.rmse", 10**400, "in_sample", id="rmse-10**400"),
+        pytest.param("cell", "best_sse", 10**400, "in_sample", id="best_sse-10**400"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
@@ -264,6 +271,17 @@ class TestReport:
         with open(report_file, "w") as handle:
             handle.writelines(json.dumps(r) + "\n" for r in records)
         assert main(["report", report_file, "--view", view]) == EXIT_DATA
+        assert "error" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit(self, report_file, capsys):
+        # json.loads refuses integer literals of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        with open(report_file) as handle:
+            text = handle.read()
+        value = json.dumps(json.loads(text.splitlines()[2])["in_sample"]["rmse"])
+        with open(report_file, "w") as handle:
+            handle.write(text.replace(value, "1" * 5000, 1))
+        assert main(["report", report_file]) == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("view", _VIEWS)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fxcast import (
+    Architecture,
     CellFailure,
     CellResult,
     DataError,
@@ -407,6 +408,65 @@ class TestLevelBlocks:
                              "stopped early" if run.epochs_run < max_epochs else
                              "ran to the cap")
         assert outcomes <= seen
+
+
+# restart SSEs grow to about 1e307 in 300 epochs on ar_split: at p = 4 the
+# winner of h = 2 stays finite but overflows the measures, and both restarts
+# of h = 3 diverge
+WILD_TRAIN = TrainConfig(learning_rate=0.02, max_epochs=300, min_sse_delta=1e-3,
+                         restarts=2, master_seed=11)
+OVERFLOW = "in-sample forecasts overflow the rmse"
+
+
+class TestLevelScoring:
+    # run_grid scores each input level's cells as one block; evaluate_cell
+    # scores a level of one cell
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_winner_named_without_a_warning(self, ar_split):
+        train_series, test_series = ar_split
+        grid = small_grid(input_levels=(4,), hidden_levels=(2, 3), train_cfg=WILD_TRAIN)
+        report = run_grid(train_series, test_series, grid)
+        assert report.failures == (CellFailure(p=4, h=2, error=OVERFLOW),
+                                   CellFailure(p=4, h=3, error="all 2 restarts diverged"))
+        with pytest.raises(DataError, match=OVERFLOW):
+            evaluate_cell(train_series, test_series, 4, 2, grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("zero_at", [None, 2])
+    def test_items_equal_evaluate_cell(self, ar_split, monkeypatch, zero_at):
+        train_series, test_series = ar_split
+        if zero_at is not None:
+            # past the 1-point horizon, inside the 4-point one
+            values = test_series.values.copy()
+            values[zero_at] = 0.0
+            test_series = TimeSeries(test_series.dates, values, test_series.name)
+        grid = small_grid(input_levels=(4,), hidden_levels=(2, 3, 5, 8))
+        train_multi_restart = experiment.train_multi_restart
+
+        def per_width(arch, data, train_cfg):
+            # h = 2 and 3 end as at WILD_TRAIN, the others train normally
+            return train_multi_restart(arch, data,
+                                       WILD_TRAIN if arch.hidden_count < 4 else train_cfg)
+
+        monkeypatch.setattr(experiment, "train_multi_restart", per_width)
+        scaler, data = experiment._scaled_windows(train_series, 4, grid.scale)
+        results, alone = [], []
+        for h in grid.hidden_levels:
+            try:
+                results.append(per_width(Architecture(4, h), data, grid.train_cfg))
+            except DivergenceError as exc:
+                results.append(CellFailure(p=4, h=h, error=str(exc)))
+            try:
+                alone.append(evaluate_cell(train_series, test_series, 4, h, grid)[0])
+            except (DataError, DivergenceError) as exc:
+                alone.append(CellFailure(p=4, h=h, error=str(exc)))
+        items = experiment._score_level(train_series, test_series, grid, scaler, data,
+                                        results, [0.0] * len(results))
+        assert items == alone
+        errors = [getattr(item, "error", None) for item in items]
+        survivors = ([None] * 2 if zero_at is None else
+                     ["MAPE undefined: actual values contain zero"] * 2)
+        assert errors == [OVERFLOW, "all 2 restarts diverged", *survivors]
 
 
 @pytest.mark.parametrize("cells, workers", [

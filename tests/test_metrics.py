@@ -15,6 +15,7 @@ from fxcast import (
     random_walk,
     rmse,
 )
+from fxcast.metrics import _horizon_rows, _metric_rows
 
 
 def brute_force_metrics(actual, predicted):
@@ -85,6 +86,56 @@ class TestRandomizedAgainstBruteForce:
             assert rmse(fs) == pytest.approx(want_rmse, rel=1e-12)
             assert mae(fs) == pytest.approx(want_mae, rel=1e-12)
             assert mape(fs) == pytest.approx(want_mape, rel=1e-12)
+
+
+def one_dimensional_measures(actual, predicted):
+    """The three measures as 1-D numpy reductions over one forecast set: the
+    bits that each row of a block must reproduce."""
+    diff = actual - predicted
+    return (float(np.sqrt(np.mean(diff * diff))), float(np.mean(np.abs(diff))),
+            float(np.mean(np.abs(diff / actual)) * 100.0))
+
+
+class TestRowBlocks:
+    # run_grid scores the forecasts of many networks as one (K, n) block
+    @pytest.mark.parametrize("rows, n", [(1, 1), (6, 1), (1, 60), (25, 60), (4, 300),
+                                         (3, 1042)])
+    def test_rows_match_one_dimensional_bits(self, rows, n):
+        rng = np.random.default_rng(1000 * rows + n)
+        actual = rng.uniform(0.5, 60.0, n) * rng.choice([-1.0, 1.0], n)
+        predicted = actual + rng.normal(0.0, 1.0, (rows, n)) * rng.uniform(1e-3, 10.0, (rows, 1))
+        for length in range(1, n + 1):
+            scored = _metric_rows(actual[:length], predicted[:, :length])
+            for row, forecasts in zip(scored, predicted[:, :length]):
+                # every measure is positive, so == compares the bits
+                assert (row.rmse, row.mae, row.mape) == one_dimensional_measures(
+                    actual[:length], forecasts)
+        spec = HorizonSpec(tuple((str(k), k) for k in sorted({1, (n + 1) // 2, n})))
+        for windows, forecasts in zip(_horizon_rows(actual, predicted, spec), predicted):
+            assert [(label, (row.rmse, row.mae, row.mape)) for label, row in windows] == [
+                (label, one_dimensional_measures(actual[:k], forecasts[:k]))
+                for label, k in spec.windows]
+
+    @pytest.mark.filterwarnings("error")
+    def test_failures_stay_in_their_row(self):
+        actual = np.array([1.0, 2.0, 4.0])
+        predicted = np.array([[1.5, 2.0, 3.0], [1e300, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+        scored = _metric_rows(actual, predicted, "these forecasts")
+        assert scored == [metric_row(ForecastSet(actual, predicted[0])),
+                          "these forecasts overflow the rmse",
+                          "forecast set contains non-finite values"]
+        actual[1] = 0.0
+        assert _metric_rows(actual, predicted) == [
+            "MAPE undefined: actual values contain zero"] * 2 + [
+            "forecast set contains non-finite values"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named_without_a_warning(self):
+        fs = ForecastSet([1.0, 2.0, 4.0], [1.0, 2.0, 1e300])
+        with pytest.raises(DataError, match="forecasts overflow the rmse"):
+            metric_row(fs)
+        with pytest.raises(DataError, match="forecasts over 6m overflow the rmse"):
+            evaluate_horizons(fs, HorizonSpec((("1m", 2), ("6m", 3))))
 
 
 class TestInvariants:
