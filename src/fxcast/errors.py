@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON type checks that raise them."""
 
 
 class FxcastError(Exception):
@@ -29,3 +29,23 @@ class ReportFormatError(FxcastError, ValueError):
 
 class ReportVersionError(ReportFormatError):
     """A report or model file declares an unsupported format version."""
+
+
+def _typed(value, kinds: tuple, what: str):
+    """``value`` if its type is one of ``kinds``. The loaders' dataclasses run
+    int() on their values or just compare them, so a 1.5 or a true must be
+    rejected here."""
+    if type(value) not in kinds:
+        raise ReportFormatError(f"{what} {value!r} is not of type "
+                                f"{' or '.join(kind.__name__ for kind in kinds)}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number: a true, which float()
+    would take as 1.0, is rejected, and so is an integer beyond the float
+    range."""
+    try:
+        return float(_typed(value, (int, float), what))
+    except OverflowError:
+        raise ReportFormatError(f"{what} is an integer too large for a float") from None

@@ -7,7 +7,7 @@ import datetime
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, groupby
 from operator import itemgetter
@@ -20,6 +20,8 @@ from .errors import (
     DivergenceError,
     ReportFormatError,
     ReportVersionError,
+    _number,
+    _typed,
 )
 from .metrics import (
     HorizonSpec,
@@ -45,14 +47,6 @@ _REPORT_FORMAT = "fxcast-grid-report"
 _REPORT_VERSION = 1
 
 _SYNTH_EPOCH = datetime.date(2000, 1, 7)
-
-# Most row-space doubles, sum of (h + 1) over the networks times the
-# pattern count n, that one training block of run_grid may hold. Blocks
-# save numpy calls at a few hundred patterns but lose to cache misses at
-# about a thousand: with 2 MB of L2 per core, one block for a whole input
-# level of 5 widths x 2 restarts ran 25-35% slower per network-epoch at
-# n = 1042, while 24 000 kept nearly all of the gain at n <= 299.
-_BLOCK_BUDGET = 24_000
 
 
 @dataclass(frozen=True)
@@ -89,10 +83,10 @@ class CellResult:
     ``train_seconds`` is wall-clock bookkeeping: it is excluded from equality
     and never persisted, so report files stay reproducible run to run. From
     ``evaluate_cell`` it is the whole call. From ``run_grid``, whose cells
-    train and are scored in shared blocks, it is the cell's share, by
-    hidden rows (h + 1) per restart, of its input level's set-up and of its
-    blocks' training time, plus an equal share of its input level's scoring
-    time, so the cells of a sweep still sum to the work done.
+    of one input level train and are scored together, it is the cell's
+    share, by hidden rows (h + 1), of that level's wall time from windowing
+    to scoring; a pooled sweep that splits a level between chunks times
+    each part on its own.
     """
 
     p: int
@@ -197,7 +191,7 @@ def _scaled_windows(train_series: TimeSeries, p: int, scale: bool):
 
 
 def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
-                 scaler, data: WindowedDataset, results, seconds) -> list:
+                 scaler, data: WindowedDataset, results) -> list:
     """The items of the cells of one input level, one per item of ``results``:
     each a cell's TrainResult, or the CellFailure of a cell left without a
     network, which passes through.
@@ -206,10 +200,8 @@ def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridCon
     training windows and one over the teacher-forced test windows, one
     inverse scaling of each, and one reduction per measure and horizon. A
     cell whose forecasts fail a check of ``metrics._horizon_rows`` becomes
-    a CellFailure with that check's message. A cell's ``train_seconds`` is
-    its entry of ``seconds`` plus an equal share of this scoring time.
+    a CellFailure with that check's message.
     """
-    started = time.perf_counter()
     p = data.window_len
     live = [j for j, result in enumerate(results) if isinstance(result, TrainResult)]
     items = list(results)
@@ -229,14 +221,13 @@ def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridCon
     in_rows = _metric_rows(train_series.values[p:], in_pred, "in-sample forecasts")
     out_rows = _horizon_rows(test_series.values, out_pred, cfg.horizon_spec,
                              "out-of-sample forecasts")
-    share = (time.perf_counter() - started) / len(results)
     for j, in_row, out_row in zip(live, in_rows, out_rows):
         result = results[j]
         h = result.best_net.arch.hidden_count
         error = next((row for row in (in_row, out_row) if isinstance(row, str)), None)
         items[j] = (CellFailure(p=p, h=h, error=error) if error is not None else
                     CellResult(p=p, h=h, in_sample=in_row, out_sample=out_row,
-                               best_sse=result.best_sse, train_seconds=seconds[j] + share))
+                               best_sse=result.best_sse))
     return items
 
 
@@ -255,11 +246,10 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     scaler, data = _scaled_windows(train_series, p, cfg.scale)
     result = train_multi_restart(Architecture(input_count=p, hidden_count=h), data,
                                  cfg.train_cfg)
-    [cell] = _score_level(train_series, test_series, cfg, scaler, data, [result],
-                          [time.perf_counter() - started])
+    [cell] = _score_level(train_series, test_series, cfg, scaler, data, [result])
     if isinstance(cell, CellFailure):
         raise DataError(cell.error)
-    return cell, result.best_net
+    return replace(cell, train_seconds=time.perf_counter() - started), result.best_net
 
 
 def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
@@ -269,30 +259,16 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
     return evaluate_horizons(fs, spec)
 
 
-def _blocks(rows, n: int):
-    """Consecutive slices of networks with ``rows`` row-space rows each
-    (h + 1) whose training blocks hold at most ``_BLOCK_BUDGET`` row-space
-    doubles (rows times n patterns); a network over budget trains alone."""
-    start = used = 0
-    for i, count in enumerate(rows):
-        if i > start and (used + count) * n > _BLOCK_BUDGET:
-            yield slice(start, i)
-            start, used = i, 0
-        used += count
-    yield slice(start, len(rows))
-
-
 def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
                  p: int, hidden_levels) -> list:
     """The cells (p, h) for each h of ``hidden_levels``, as ``evaluate_cell``
     scores them; a cell with no usable network becomes a CellFailure.
 
-    The windows are built and scaled once. The restarts of every h train in
-    (h, k) order in blocks of ``_train_block``, cut by ``_blocks``. A cell's
-    ``train_seconds`` is its restarts' share of the set-up and of their
-    blocks' training time, each split by rows (h + 1), plus an equal share
-    of the level's scoring in ``_score_level``, so the cells' times still
-    sum to the work done.
+    The windows are built and scaled once, the restarts of every h train in
+    (h, k) order in one call of ``_train_block``, which cuts them into
+    blocks, and the winners are scored together by ``_score_level``. A
+    cell's ``train_seconds`` is its share, by hidden rows (h + 1), of this
+    call's wall time, from windowing to scoring.
     """
     started = time.perf_counter()
     try:
@@ -301,25 +277,17 @@ def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridCo
         return [CellFailure(p=p, h=h, error=str(exc)) for h in hidden_levels]
     cfg = grid.train_cfg
     nets0 = [net for h in hidden_levels for net in _initial_nets(Architecture(p, h), cfg)]
-    rows = [net.arch.hidden_count + 1 for net in nets0]
-    setup = (time.perf_counter() - started) / sum(rows)
-    seconds = [setup * count for count in rows]
-    runs = []
-    for block in _blocks(rows, len(data.targets)):
-        started = time.perf_counter()
-        runs += _train_block(nets0[block], data, cfg)
-        share = (time.perf_counter() - started) / sum(rows[block])
-        for i in range(block.start, block.stop):
-            seconds[i] += share * rows[i]
-    cells = [slice(j * cfg.restarts, (j + 1) * cfg.restarts) for j in range(len(hidden_levels))]
+    runs = _train_block(nets0, data, cfg)
     results = []
-    for h, cell in zip(hidden_levels, cells):
+    for j, h in enumerate(hidden_levels):
         try:
-            results.append(_best_restart(runs[cell]))
+            results.append(_best_restart(runs[j * cfg.restarts:(j + 1) * cfg.restarts]))
         except DivergenceError as exc:
             results.append(CellFailure(p=p, h=h, error=str(exc)))
-    return _score_level(train_series, test_series, grid, scaler, data, results,
-                        [sum(seconds[cell]) for cell in cells])
+    items = _score_level(train_series, test_series, grid, scaler, data, results)
+    share = (time.perf_counter() - started) / sum(h + 1 for h in hidden_levels)
+    return [replace(item, train_seconds=share * (item.h + 1))
+            if isinstance(item, CellResult) else item for item in items]
 
 
 def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
@@ -356,14 +324,14 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     The grid runs in chunks of contiguous cells: serially one chunk per
     input level, or, when ``workers`` > 1, the chunks of ``_chunk_schedule``
     on a process pool of at most one process per chunk. Within a chunk, the
-    cells of each input level p share one scaled set of windows, and the
-    restarts of all their hidden widths train in (h, restart) order in row
-    blocks: runs of networks whose hidden rows, sum of (h + 1), times the
-    pattern count stay within ``_BLOCK_BUDGET`` doubles train together in
-    one ``_train_block``, and the winners of all widths are scored together
-    by ``_score_level``. Blocking only saves numpy calls: every network
-    gets the bits that ``train`` gives it alone, every cell the metrics
-    that scoring it alone gives, and restart seeds depend
+    cells of each input level p share one scaled set of windows, the
+    restarts of all their hidden widths train in (h, restart) order in one
+    call of ``_train_block``, which cuts them into blocks, and the winners
+    of all widths are scored together by ``_score_level``. A cell's
+    ``train_seconds`` is its share, by hidden rows (h + 1), of the wall time
+    of its input level's cells in its chunk. Blocking only saves numpy
+    calls: every network gets the bits that ``train`` gives it alone, every
+    cell the metrics that scoring it alone gives, and restart seeds depend
     only on (master_seed, p, h, restart), so the output is identical at any
     worker count and equals ``evaluate_cell`` cell by cell.
 
@@ -445,25 +413,6 @@ def _config_to_json(config: GridConfig) -> dict:
         "horizons": [[label, length] for label, length in config.horizon_spec.windows],
         "scale": config.scale,
     }
-
-
-def _typed(value, kinds: tuple, what: str):
-    """``value`` if its type is one of ``kinds``. GridConfig and HorizonSpec
-    run int() on their values, so a 1.5 or a true must be rejected here."""
-    if type(value) not in kinds:
-        raise ReportFormatError(f"{what} {value!r} is not of type "
-                                f"{' or '.join(kind.__name__ for kind in kinds)}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number: a true, which float()
-    would take as 1.0, is rejected, and so is an integer beyond the float
-    range."""
-    try:
-        return float(_typed(value, (int, float), what))
-    except OverflowError:
-        raise ReportFormatError(f"{what} is an integer too large for a float") from None
 
 
 def _config_from_json(obj) -> GridConfig:
@@ -594,10 +543,10 @@ def load_report(source) -> GridReport:
             raise ReportFormatError(f"master_seed {header['master_seed']} differs from "
                                     f"train_cfg's {config.train_cfg.master_seed}")
         series_name = _typed(header["series"], (str,), "series")
-        train_len = header["train_len"]
-        test_len = header["test_len"]
-        if not all(type(n) is int for n in (train_len, test_len)):
-            raise ReportFormatError(f"lengths {train_len!r}, {test_len!r} are not integers")
+        train_len = _typed(header["train_len"], (int,), "train_len")
+        test_len = _typed(header["test_len"], (int,), "test_len")
+        if min(train_len, test_len) < 1:
+            raise ReportFormatError(f"lengths {train_len}, {test_len} are not both positive")
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ReportFormatError(f"corrupt report header: {exc}") from None
 
@@ -651,7 +600,7 @@ def load_report(source) -> GridReport:
                 )
             elif kind == "failure":
                 p, h = grid_key(obj)
-                failures.append(CellFailure(p=p, h=h, error=str(obj["error"])))
+                failures.append(CellFailure(p=p, h=h, error=_typed(obj["error"], (str,), "error")))
             else:
                 raise ReportFormatError(f"unknown record type {kind!r} on line {index + 1}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -15,6 +15,8 @@ from .errors import (
     DivergenceError,
     ReportFormatError,
     ReportVersionError,
+    _number,
+    _typed,
 )
 from .series import WindowedDataset, _frozen_array
 
@@ -427,18 +429,40 @@ def gradient(net: Mlp, data: WindowedDataset) -> Gradient:
     return Gradient(*block.grad.layers(0))
 
 
+# Most row-space doubles, sum of (h + 1) over the networks times the
+# pattern count n, that one training block may hold. Blocks save numpy
+# calls at a few hundred patterns but lose to cache misses at about a
+# thousand: with 2 MB of L2 per core, one block for a whole input level of
+# 5 widths x 2 restarts ran 25-35% slower per network-epoch at n = 1042,
+# while 24 000 kept nearly all of the gain at n <= 299.
+_BLOCK_BUDGET = 24_000
+
+
 def _train_block(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
-    """Train every network of ``nets0`` on ``data`` as one block.
+    """Train every network of ``nets0`` on ``data``, in blocks.
 
     Returns one TrainRun per network, bit for bit what ``train`` returns for
-    that network alone. The networks share each epoch's elementwise numpy
-    calls, which at a few hundred patterns cost more than the arithmetic. A
-    network that diverges or meets the stop rule leaves the block, and the
-    others go on in a block rebuilt from their current state; its first
-    evaluation repeats theirs exactly.
+    that network alone. Consecutive networks share a block while its row
+    space times the pattern count stays within ``_BLOCK_BUDGET`` doubles; a
+    network over budget trains alone.
     """
     for net in nets0:
         _check_window(net, data)
+    runs, start, used = [], 0, 0
+    for i, net in enumerate(nets0):
+        used += net.arch.hidden_count + 1
+        if i > start and used * len(data.targets) > _BLOCK_BUDGET:
+            runs += _train_together(nets0[start:i], data, cfg)
+            start, used = i, net.arch.hidden_count + 1
+    return runs + _train_together(nets0[start:], data, cfg)
+
+
+def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
+    """``_train_block`` for networks that share one block, and so each
+    epoch's elementwise numpy calls, which at a few hundred patterns cost
+    more than the arithmetic. A network that diverges or meets the stop rule
+    leaves the block, and the others go on in a block rebuilt from their
+    current state; its first evaluation repeats theirs exactly."""
     lr, max_epochs, min_delta = cfg.learning_rate, cfg.max_epochs, cfg.min_sse_delta
     runs = [None] * len(nets0)
     traces = [[] for _ in nets0]
@@ -597,13 +621,19 @@ def load_model(source) -> Mlp:
             raise ReportFormatError(
                 f"unsupported {key} {record.get(key)!r}, expected {kind!r}"
             )
+
+    def numbers(values, what):
+        return [_number(v, what) for v in _typed(values, (list,), what)]
+
     try:
+        rows = _typed(record["hidden_weights"], (list,), "hidden_weights")
         return Mlp(
-            arch=Architecture(input_count=record["p"], hidden_count=record["h"]),
-            hidden_weights=np.array(record["hidden_weights"], dtype=float),
-            hidden_biases=np.array(record["hidden_biases"], dtype=float),
-            output_weights=np.array(record["output_weights"], dtype=float),
-            output_bias=record["output_bias"],
+            arch=Architecture(input_count=_typed(record["p"], (int,), "p"),
+                              hidden_count=_typed(record["h"], (int,), "h")),
+            hidden_weights=[numbers(row, "hidden_weights") for row in rows],
+            hidden_biases=numbers(record["hidden_biases"], "hidden_biases"),
+            output_weights=numbers(record["output_weights"], "output_weights"),
+            output_bias=_number(record["output_bias"], "output_bias"),
         )
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ReportFormatError(f"corrupt model file: {exc}") from None

@@ -258,11 +258,18 @@ class TestReport:
         ("random_walk", "rows.0.1.rmse", True, "out_sample"),
         pytest.param("cell", "in_sample.rmse", 10**400, "in_sample", id="rmse-10**400"),
         pytest.param("cell", "best_sse", 10**400, "in_sample", id="best_sse-10**400"),
+        # lengths below 1, and a failure text that str() would make "None"
+        ("header", "train_len", -5, "hidden_effect"),
+        ("header", "test_len", 0, "out_sample"),
+        ("failure", "error", None, "in_sample"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
         with open(report_file) as handle:
             records = [json.loads(line) for line in handle]
+        if record_type == "failure":  # the report has none: make its last cell one
+            last = records[-1]
+            records[-1] = {"type": "failure", "p": last["p"], "h": last["h"], "error": "x"}
         target = next(r for r in records if r.get("type", "header") == record_type)
         *parents, field = (int(key) if key.isdigit() else key for key in field.split("."))
         for key in parents:

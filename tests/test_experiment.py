@@ -38,7 +38,7 @@ from fxcast import (
 )
 from fxcast import experiment
 from fxcast.experiment import _chunk_schedule
-from fxcast.mlp import _initial_nets
+from fxcast.mlp import _BLOCK_BUDGET, _initial_nets
 
 from conftest import series_of
 
@@ -383,7 +383,7 @@ class TestLevelBlocks:
         grid = small_grid(input_levels=(1, 2, 4), hidden_levels=(2, 3, 5, 8), train_cfg=cfg)
         # each input level's 8 networks fit one block
         rows = sum(2 * (h + 1) for h in grid.hidden_levels)
-        assert rows * (len(train_series) - 1) <= experiment._BLOCK_BUDGET
+        assert rows * (len(train_series) - 1) <= _BLOCK_BUDGET
         reports = [run_grid(train_series, test_series, grid, workers=w) for w in (1, 2)]
         scaler = fit_scaler(train_series)
         scaled = TimeSeries(train_series.dates, scaler.apply(train_series.values),
@@ -416,6 +416,40 @@ class TestLevelBlocks:
 WILD_TRAIN = TrainConfig(learning_rate=0.02, max_epochs=300, min_sse_delta=1e-3,
                          restarts=2, master_seed=11)
 OVERFLOW = "in-sample forecasts overflow the rmse"
+
+
+class TestCellSeconds:
+    # a sweep's cell gets its share, by hidden rows (h + 1), of the wall time
+    # of its input level's cells in one chunk; evaluate_cell the whole call
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_level_time_split_by_hidden_rows(self, ar_split, workers):
+        train_series, test_series = ar_split
+        # 80 cells on 2 workers open with chunks of 2 cells
+        grid = small_grid(input_levels=(1, 2, 3, 4), hidden_levels=tuple(range(1, 21)),
+                          train_cfg=TrainConfig(max_epochs=5, restarts=1))
+        if workers == 1:
+            chunks = [[(p, h) for h in grid.hidden_levels] for p in grid.input_levels]
+        else:
+            chunks = _chunk_schedule([(p, h) for p in grid.input_levels
+                                      for h in grid.hidden_levels], workers)
+            assert max(len(chunk) for chunk in chunks) > 1
+        cells = {(c.p, c.h): c for c in run_grid(train_series, test_series, grid,
+                                                 workers=workers).cells}
+        assert len(cells) == grid.cell_count
+        assert all(c.train_seconds > 0.0 for c in cells.values())
+        for chunk in chunks:
+            for p in {p for p, _ in chunk}:
+                level = [cells[p, h] for q, h in chunk if q == p]
+                per_row = level[0].train_seconds / (level[0].h + 1)
+                for cell in level:
+                    assert cell.train_seconds == pytest.approx(per_row * (cell.h + 1))
+
+    def test_evaluate_cell_times_the_call(self, ar_split):
+        train_series, test_series = ar_split
+        started = time.perf_counter()
+        cell, _ = evaluate_cell(train_series, test_series, 2, 3, small_grid())
+        wall = time.perf_counter() - started
+        assert 0.0 < cell.train_seconds <= wall
 
 
 class TestLevelScoring:
@@ -460,8 +494,7 @@ class TestLevelScoring:
                 alone.append(evaluate_cell(train_series, test_series, 4, h, grid)[0])
             except (DataError, DivergenceError) as exc:
                 alone.append(CellFailure(p=4, h=h, error=str(exc)))
-        items = experiment._score_level(train_series, test_series, grid, scaler, data,
-                                        results, [0.0] * len(results))
+        items = experiment._score_level(train_series, test_series, grid, scaler, data, results)
         assert items == alone
         errors = [getattr(item, "error", None) for item in items]
         survivors = ([None] * 2 if zero_at is None else

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -392,6 +393,40 @@ class TestTrainBlock:
         with pytest.raises(DataError):
             fxcast.mlp._train_block(nets0, data, TrainConfig())
 
+    def test_blocks_cut_to_budget(self, monkeypatch):
+        # at n = 1000 the budget holds 24 rows (h + 1): 2 and 3 share a
+        # block, 30 is over budget and trains alone, then 5 and 8, then 10
+        # and 1
+        rng = np.random.default_rng(4242)
+        p, n = 2, 1000
+        data = make_windows(series_of(rng.uniform(0, 1, n + p)), p)
+        cfg = TrainConfig(learning_rate=1e-3, max_epochs=20, min_sse_delta=1e-3)
+        nets0 = [init_weights(Architecture(p, h), seed, 0.5)
+                 for seed, h in enumerate((2, 3, 30, 5, 8, 10, 1))]
+        blocks = []
+
+        class Recorded(fxcast.mlp._Block):
+            def __init__(self, inputs, hidden_counts, targets=None):
+                super().__init__(inputs, hidden_counts, targets)
+                blocks.append((tuple(hidden_counts), self.rows * len(inputs)))
+
+        monkeypatch.setattr(fxcast.mlp, "_Block", Recorded)
+        runs = fxcast.mlp._train_block(nets0, data, cfg)
+        monkeypatch.undo()
+        assert all(size <= fxcast.mlp._BLOCK_BUDGET or len(hs) == 1 for hs, size in blocks)
+        assert [hs for hs, _ in blocks[:2]] == [(2, 3), (30,)]
+        assert blocks[1][1] > fxcast.mlp._BLOCK_BUDGET
+        assert {(5, 8), (10, 1)} <= {hs for hs, _ in blocks}
+        for net0, run in zip(nets0, runs, strict=True):
+            alone = train(net0, data, cfg)
+            assert run.diverged == alone.diverged
+            assert run.sse_trace.tobytes() == alone.sse_trace.tobytes()
+            for got, want in ((run.net.hidden_weights, alone.net.hidden_weights),
+                              (run.net.hidden_biases, alone.net.hidden_biases),
+                              (run.net.output_weights, alone.net.output_weights)):
+                assert got.tobytes() == want.tobytes()
+            assert run.net.output_bias == alone.net.output_bias
+
 
 class TestMultiRestart:
     def make_data(self):
@@ -543,6 +578,23 @@ class TestModelSerialization:
         path.write_bytes(path.read_bytes().replace(b'"sigmoid"', b'"sigm\xf6id"'))
         with pytest.raises(ReportFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", True),
+        ("output_bias", True),
+        ("hidden_weights", [[True], [False]]),
+    ])
+    def test_json_boolean_rejected(self, key, value):
+        # float() and int() would take a true as 1 and a false as 0
+        record = json.loads(self.saved(init_weights(Architecture(1, 2), 0, 0.5)))
+        record[key] = value
+        with pytest.raises(ReportFormatError, match=key):
+            load_model(io.StringIO(json.dumps(record)))
+
+    def saved(self, net):
+        buffer = io.StringIO()
+        save_model(net, buffer)
+        return buffer.getvalue()
 
     def test_version_mismatch(self):
         net = init_weights(Architecture(1, 1), 0, 0.5)
