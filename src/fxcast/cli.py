@@ -23,8 +23,8 @@ from .experiment import (
     _SYNTH_KINDS,
     _VIEWS,
     GridConfig,
-    _metric_columns,
-    _render_row,
+    _lead_format,
+    _metric_format,
     evaluate_cell,
     load_report,
     random_walk_rows,
@@ -186,9 +186,10 @@ def _train_config(args) -> TrainConfig:
 
 def _print_metric_block(rows):
     widths = (14, 9, 16, 16, 16)
-    print(_render_row(("Sample", "Horizon", "RMSE", "MAE", "MAPE"), widths))
+    print((_lead_format(widths) % ("Sample", "Horizon", "RMSE", "MAE", "MAPE")).rstrip())
+    lead_format, metric_format = _lead_format(widths[:2]), _metric_format(widths[2:])
     for sample, horizon, row in rows:
-        print(_render_row((sample, horizon, *_metric_columns(row)), widths))
+        print(lead_format % (sample, horizon) + metric_format % (row.rmse, row.mae, row.mape))
 
 
 def cmd_ingest(args) -> int:

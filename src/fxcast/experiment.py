@@ -6,11 +6,10 @@ from __future__ import annotations
 import datetime
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -134,8 +133,8 @@ class GridReport:
 
     @classmethod
     def build(cls, cells, failures, random_walk_rows, config, series_name, train_len, test_len):
-        cells = tuple(sorted(cells, key=lambda c: (c.p, c.h)))
-        failures = tuple(sorted(failures, key=lambda f: (f.p, f.h)))
+        cells = tuple(sorted(cells, key=attrgetter("p", "h")))
+        failures = tuple(sorted(failures, key=attrgetter("p", "h")))
         return cls(
             cells=cells,
             failures=failures,
@@ -151,22 +150,25 @@ class GridReport:
 def _mean_row(rows) -> MetricRow:
     n = len(rows)
     return MetricRow(
-        rmse=sum(r.rmse for r in rows) / n,
-        mae=sum(r.mae for r in rows) / n,
-        mape=sum(r.mape for r in rows) / n,
+        rmse=sum([r.rmse for r in rows]) / n,
+        mae=sum([r.mae for r in rows]) / n,
+        mape=sum([r.mape for r in rows]) / n,
     )
 
 
 def _input_averages(cells, config: GridConfig) -> tuple:
+    groups = {}
+    for c in cells:
+        groups.setdefault(c.p, []).append(c)
+    labels = config.horizon_spec.labels
     averages = []
     for p in config.input_levels:
-        group = [c for c in cells if c.p == p]
+        group = groups.get(p)
         if not group:
             continue
-        labels = config.horizon_spec.labels
+        out_samples = [dict(c.out_sample) for c in group]
         out_rows = tuple(
-            (label, _mean_row([dict(c.out_sample)[label] for c in group]))
-            for label in labels
+            (label, _mean_row([rows[label] for rows in out_samples])) for label in labels
         )
         averages.append(
             InputAverage(
@@ -290,14 +292,26 @@ def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridCo
             if isinstance(item, CellResult) else item for item in items]
 
 
-def _chunk_task(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
-                chunk) -> list:
+def _chunk_task(sweep, chunk) -> list:
     """The items of the (p, h) cells of one chunk, in order, one input level
-    at a time."""
+    at a time; ``sweep`` is the (train series, test series, grid) of the run."""
     items = []
     for p, cells in groupby(chunk, key=itemgetter(0)):
-        items += _level_cells(train_series, test_series, grid, p, [h for _, h in cells])
+        items += _level_cells(*sweep, p, [h for _, h in cells])
     return items
+
+
+# the sweep of the pool this worker process serves, set once at its start
+_worker_sweep = None
+
+
+def _start_worker(sweep):
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _worker_chunk(chunk) -> list:
+    return _chunk_task(_worker_sweep, chunk)
 
 
 def _chunk_schedule(order, workers: int) -> list:
@@ -323,7 +337,9 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
 
     The grid runs in chunks of contiguous cells: serially one chunk per
     input level, or, when ``workers`` > 1, the chunks of ``_chunk_schedule``
-    on a process pool of at most one process per chunk. Within a chunk, the
+    on a process pool of at most one process per chunk. The sweep inputs
+    (both series and the grid) go to each worker once, when it starts, and
+    each task carries only its chunk's (p, h) list. Within a chunk, the
     cells of each input level p share one scaled set of windows, the
     restarts of all their hidden widths train in (h, restart) order in one
     call of ``_train_block``, which cuts them into blocks, and the winners
@@ -353,14 +369,20 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
         writer.random_walk(rw_rows)
 
     order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
-    task = partial(_chunk_task, train_series, test_series, grid)
+    sweep = (train_series, test_series, grid)
     pool = None
     if workers == 1:
-        chunks = map(task, ([(p, h) for h in grid.hidden_levels] for p in grid.input_levels))
+        chunks = map(partial(_chunk_task, sweep),
+                     ([(p, h) for h in grid.hidden_levels] for p in grid.input_levels))
     else:
+        # imported here, so that a serial sweep or a CLI command without a
+        # pool does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         schedule = _chunk_schedule(order, workers)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(schedule)))
-        chunks = pool.map(task, schedule)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(schedule)),
+                                   initializer=_start_worker, initargs=(sweep,))
+        chunks = pool.map(_worker_chunk, schedule)
     items = []
     try:
         for item in chain.from_iterable(chunks):
@@ -393,15 +415,17 @@ def _row_to_json(row: MetricRow) -> dict:
 
 
 def _row_from_json(obj) -> MetricRow:
-    return MetricRow(*(_number(obj[name], name) for name in ("rmse", "mae", "mape")))
+    # a JSON float needs no check; anything else goes through _number
+    rmse = obj["rmse"]
+    rmse = rmse if type(rmse) is float else _number(rmse, "rmse")
+    mae = obj["mae"]
+    mae = mae if type(mae) is float else _number(mae, "mae")
+    mape = obj["mape"]
+    return MetricRow(rmse, mae, mape if type(mape) is float else _number(mape, "mape"))
 
 
 def _labelled_rows_to_json(rows) -> list:
     return [[label, _row_to_json(row)] for label, row in rows]
-
-
-def _labelled_rows_from_json(obj) -> tuple:
-    return tuple((label, _row_from_json(row)) for label, row in obj)
 
 
 def _config_to_json(config: GridConfig) -> dict:
@@ -503,30 +527,36 @@ def save_report(report: GridReport, sink):
         writer.record(item)
 
 
-def load_report(source) -> GridReport:
-    """Read a report written by save_report / run_grid.
+def _read_report(source):
+    """The header, the random-walk rows and the records of a report, or of a
+    prefix of one, as save_report / run_grid write them.
 
-    Raises ReportVersionError for an unsupported version tag and
-    ReportFormatError for corrupt or truncated payloads, including a record
-    count short of the grid declared in the header, a cell off that grid, and
-    metric rows whose horizon labels differ from the header's.
+    Returns ((config, series name, train_len, test_len), the random-walk
+    rows or None if the file has none, [CellResult or CellFailure, in file
+    order]). Raises ReportVersionError for an unsupported version tag and
+    ReportFormatError for a corrupt payload: a line that is not a record, a
+    header value not of its JSON type, a cell off the header's grid or
+    repeated, and metric rows whose horizon labels differ from the
+    header's. It does not check that the records cover the grid.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return load_report(handle)
+            return _read_report(handle)
 
     try:
         text = source.read()
     except UnicodeDecodeError as exc:
         raise ReportFormatError(f"report is not UTF-8 text: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line and not line.isspace()]
     if not lines:
         raise ReportFormatError("empty report file")
 
     def parse_line(index, text):
         try:
             obj = json.loads(text)
-        except ValueError as exc:  # also an integer literal past int()'s digit limit
+        # ValueError includes an integer literal past int()'s digit limit,
+        # RecursionError a line nested past the decoder's depth limit
+        except (ValueError, RecursionError) as exc:
             raise ReportFormatError(f"corrupt report line {index + 1}: {exc}") from None
         if not isinstance(obj, dict):
             raise ReportFormatError(f"corrupt report line {index + 1}: not a record")
@@ -535,8 +565,9 @@ def load_report(source) -> GridReport:
     header = parse_line(0, lines[0])
     if header.get("format") != _REPORT_FORMAT:
         raise ReportFormatError("not a grid report file")
-    if header.get("version") != _REPORT_VERSION:
-        raise ReportVersionError(f"unsupported report version {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != _REPORT_VERSION:  # a true equals 1
+        raise ReportVersionError(f"unsupported report version {version!r}")
     try:
         config = _config_from_json(header["config"])
         if _typed(header["master_seed"], (int,), "master_seed") != config.train_cfg.master_seed:
@@ -551,21 +582,19 @@ def load_report(source) -> GridReport:
         raise ReportFormatError(f"corrupt report header: {exc}") from None
 
     grid = {(p, h) for p in config.input_levels for h in config.hidden_levels}
-    labels = config.horizon_spec.labels
+    labels = list(config.horizon_spec.labels)
 
     def horizon_rows(obj):
-        rows = _labelled_rows_from_json(obj)
-        if tuple(label for label, _ in rows) != labels:
-            raise ReportFormatError(
-                f"horizon labels {[label for label, _ in rows]} differ from the "
-                f"header's {list(labels)}"
-            )
+        rows = tuple([(label, _row_from_json(row)) for label, row in obj])
+        found = list(map(itemgetter(0), rows))
+        if found != labels:
+            raise ReportFormatError(f"horizon labels {found} differ from the header's {labels}")
         return rows
 
     def grid_key(obj):
-        key = (obj["p"], obj["h"])
+        key = p, h = obj["p"], obj["h"]
         # a JSON 1.0 or true equals the level 1 but is not one
-        if not all(type(v) is int for v in key) or key not in grid:
+        if not (type(p) is int and type(h) is int) or key not in grid:
             raise ReportFormatError(f"cell record {key} is off the header's grid")
         if key in seen:
             raise ReportFormatError(f"duplicate cell record {key}")
@@ -573,8 +602,7 @@ def load_report(source) -> GridReport:
         return key
 
     rw_rows = None
-    cells = []
-    failures = []
+    records = []
     seen = set()
     for index, text in enumerate(lines[1:], start=1):
         obj = parse_line(index, text)
@@ -589,35 +617,41 @@ def load_report(source) -> GridReport:
                 best_sse = _number(obj["best_sse"], "best_sse")
                 if not 0.0 <= best_sse < np.inf:
                     raise ReportFormatError(f"best_sse {best_sse!r} is not finite and >= 0")
-                cells.append(
-                    CellResult(
-                        p=p,
-                        h=h,
-                        in_sample=_row_from_json(obj["in_sample"]),
-                        out_sample=horizon_rows(obj["out_sample"]),
-                        best_sse=best_sse,
-                    )
-                )
+                records.append(CellResult(p, h, _row_from_json(obj["in_sample"]),
+                                          horizon_rows(obj["out_sample"]), best_sse))
             elif kind == "failure":
                 p, h = grid_key(obj)
-                failures.append(CellFailure(p=p, h=h, error=_typed(obj["error"], (str,), "error")))
+                records.append(CellFailure(p=p, h=h, error=_typed(obj["error"], (str,), "error")))
             else:
                 raise ReportFormatError(f"unknown record type {kind!r} on line {index + 1}")
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ReportFormatError):
                 raise
             raise ReportFormatError(f"corrupt report line {index + 1}: {exc}") from None
+    return (config, series_name, train_len, test_len), rw_rows, records
 
+
+def load_report(source) -> GridReport:
+    """Read a report written by save_report / run_grid.
+
+    Raises ReportVersionError for an unsupported version tag and
+    ReportFormatError for corrupt or truncated payloads, including a record
+    count short of the grid declared in the header, a cell off that grid, and
+    metric rows whose horizon labels differ from the header's.
+    """
+    header, rw_rows, records = _read_report(source)
     if rw_rows is None:
         raise ReportFormatError("missing random_walk record (truncated file?)")
-    expected = config.cell_count
-    if len(seen) != expected:
+    expected = header[0].cell_count
+    if len(records) != expected:
         raise ReportFormatError(
-            f"truncated report: expected {expected} cell records, found {len(seen)}"
+            f"truncated report: expected {expected} cell records, found {len(records)}"
         )
     try:
         return GridReport.build(
-            cells, failures, rw_rows, config, series_name, train_len, test_len
+            [r for r in records if isinstance(r, CellResult)],
+            [r for r in records if isinstance(r, CellFailure)],
+            rw_rows, *header,
         )
     except (KeyError, DataError) as exc:
         raise ReportFormatError(f"inconsistent report records: {exc}") from None
@@ -636,16 +670,16 @@ _LAYOUTS = {
 _VIEWS = tuple(_LAYOUTS)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.8f}"
+def _lead_format(widths) -> str:
+    """The %-format of text columns, each left-justified to its width."""
+    return "".join(f"%-{w}s" for w in widths)
 
 
-def _metric_columns(row: MetricRow) -> tuple:
-    return _fmt(row.rmse), _fmt(row.mae), _fmt(row.mape)
-
-
-def _render_row(columns, widths) -> str:
-    return "".join(str(c).ljust(w) for c, w in zip(columns, widths)).rstrip()
+def _metric_format(widths) -> str:
+    """The %-format of RMSE, MAE and MAPE at 8 decimals in columns of
+    ``widths``, each left-justified to its width but the last, which ends
+    the line."""
+    return "".join(f"%-{w}.8f" for w in widths[:-1]) + "%.8f"
 
 
 def render_table(report: GridReport, which: str) -> str:
@@ -660,34 +694,52 @@ def render_table(report: GridReport, which: str) -> str:
         raise DataError(f"unknown view {which!r}; expected one of {_VIEWS}")
     lead, widths, averaged = _LAYOUTS[which]
     per_cell = "Hidden" in lead  # a row per (p, h) cell
-    sample = (f"N={report.train_len}",) if "Sample" in lead else ()
-    cells = {(c.p, c.h): c for c in report.cells}
+    labels = (None,) if which == "in_sample" else report.config.horizon_spec.labels
+    lead_format = _lead_format(widths[:len(lead)])
+    metric_format = _metric_format(widths[len(lead):])
+
+    def by_key(items, key, label) -> dict:
+        """{key(item): the item's row under label}, with None labelling the
+        in-sample rows."""
+        if label is None:
+            return {key(item): item.in_sample for item in items}
+        return {key(item): row for item in items for found, row in item.out_sample
+                if found == label}
+
     errors = {(f.p, f.h): f.error for f in report.failures}
-    averages = {a.p: a for a in report.per_input_averages}
+    input_columns, hidden_columns = {}, []
+    if per_cell:
+        # a cell row leads with its input level's columns, then its Hidden
+        # column, each formatted once for all blocks
+        sample = (f"N={report.train_len}",) if "Sample" in lead else ()
+        input_format = _lead_format(widths[:len(lead) - 1])
+        input_columns = {p: input_format % (*sample, p) for p in report.config.input_levels}
+        hidden_columns = [(h, _lead_format(widths[len(lead) - 1:len(lead)]) % h)
+                          for h in report.config.hidden_levels]
     lines = []
 
-    def row(lead_values, item):
-        tail = (f"FAILED: {item}",) if isinstance(item, str) else _metric_columns(item)
-        lines.append(_render_row((*lead_values, *tail), widths))
+    def row(lead_text, item):
+        lines.append((lead_text + f"FAILED: {item}").rstrip() if isinstance(item, str)
+                     else lead_text + metric_format % (item.rmse, item.mae, item.mape))
 
-    def pick(item, label):
-        return item.in_sample if label is None else dict(item.out_sample)[label]
-
-    for label in (None,) if which == "in_sample" else report.config.horizon_spec.labels:
+    for label in labels:
         suffix = "" if label is None else f"({label})"
         if lines:
             lines.append("")
-        lines.append(_render_row((*lead, *(m + suffix for m in ("RMSE", "MAE", "MAPE"))), widths))
+        headings = (*lead, *(m + suffix for m in ("RMSE", "MAE", "MAPE")))
+        lines.append((_lead_format(widths) % headings).rstrip())
+        cell_rows = by_key(report.cells if per_cell else (), lambda c: (c.p, c.h), label)
+        average_rows = by_key(report.per_input_averages, lambda a: a.p, label)
         for p in report.config.input_levels:
-            for h in report.config.hidden_levels if per_cell else ():
-                cell = cells.get((p, h))
-                row((*sample, p, h), errors[p, h] if cell is None else pick(cell, label))
+            for h, hidden_column in hidden_columns:
+                cell = cell_rows.get((p, h))
+                row(input_columns[p] + hidden_column, errors[p, h] if cell is None else cell)
             # a per-cell view has already shown why an input level has no average
-            if averaged and (p in averages or not per_cell):
-                row(("Avgr", "") if per_cell else (p,),
-                    pick(averages[p], label) if p in averages else "no surviving cells")
+            if averaged and (p in average_rows or not per_cell):
+                row(lead_format % (("Avgr", "") if per_cell else (p,)),
+                    average_rows[p] if p in average_rows else "no surviving cells")
         if averaged and label is not None:
-            row(("RW",), dict(report.random_walk_rows)[label])
+            row(lead_format % ("RW",), dict(report.random_walk_rows)[label])
     return "\n".join(lines) + "\n"
 
 

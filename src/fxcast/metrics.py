@@ -55,7 +55,7 @@ class MetricRow:
     def __post_init__(self):
         for field_name in ("rmse", "mae", "mape"):
             value = getattr(self, field_name)
-            if not (np.isfinite(value) and value >= 0.0):
+            if not (math.isfinite(value) and value >= 0.0):
                 raise DataError(f"{field_name} must be finite and nonnegative")
 
 

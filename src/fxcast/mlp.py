@@ -608,14 +608,14 @@ def load_model(source) -> Mlp:
         else:
             text = source.read()
         record = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # RecursionError: a value nested past the decoder's depth limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ReportFormatError(f"corrupt model file: {exc}") from None
     if not isinstance(record, dict) or record.get("format") != _MODEL_FORMAT:
         raise ReportFormatError("not a model file")
-    if record.get("version") != _MODEL_VERSION:
-        raise ReportVersionError(
-            f"unsupported model version {record.get('version')!r}"
-        )
+    version = record.get("version")
+    if type(version) is not int or version != _MODEL_VERSION:  # a true equals 1
+        raise ReportVersionError(f"unsupported model version {version!r}")
     for key, kind in _MODEL_ACTIVATIONS.items():
         if record.get(key) != kind:
             raise ReportFormatError(

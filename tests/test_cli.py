@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,8 @@ from fxcast.cli import (
     main,
 )
 from fxcast.experiment import _VIEWS
+
+from conftest import subprocess_env
 
 
 def write_series(path, n=120, seed=3, kind="noisy_ar1", **params):
@@ -291,6 +295,26 @@ class TestReport:
         assert main(["report", report_file]) == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
+    def test_version_true_rejected(self, report_file, capsys):
+        # a JSON true equals 1 but is not version 1
+        with open(report_file) as handle:
+            text = handle.read()
+        with open(report_file, "w") as handle:
+            handle.write(text.replace('"version": 1', '"version": true', 1))
+        assert main(["report", report_file]) == EXIT_DATA
+        assert "version True" in capsys.readouterr().err
+
+    def test_nesting_past_the_recursion_limit(self, report_file, capsys):
+        # the JSON decoder raises RecursionError, not a ValueError
+        with open(report_file) as handle:
+            lines = handle.readlines()
+        depth = 100_000
+        lines[2] = '{"type": "cell", "p": ' + "[" * depth + "]" * depth + ', "h": 2}\n'
+        with open(report_file, "w") as handle:
+            handle.writelines(lines)
+        assert main(["report", report_file]) == EXIT_DATA
+        assert "corrupt report line 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("view", _VIEWS)
     def test_matches_grid_stdout_rendering(self, data_file, report_file, view, capsys):
         # report re-renders exactly what grid printed for the same view
@@ -329,3 +353,12 @@ class TestSeedEnvironment:
 
     def test_missing_command_usage(self):
         assert main([]) == EXIT_USAGE
+
+
+def test_import_leaves_out_multiprocessing():
+    # only a sweep with workers > 1 needs the process pool
+    code = "import sys, fxcast.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

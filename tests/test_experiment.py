@@ -1,8 +1,12 @@
+import concurrent.futures
 import dataclasses
 import datetime
 import io
 import json
 import math
+import multiprocessing
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -40,7 +44,7 @@ from fxcast import experiment
 from fxcast.experiment import _chunk_schedule
 from fxcast.mlp import _BLOCK_BUDGET, _initial_nets
 
-from conftest import series_of
+from conftest import series_of, subprocess_env
 
 FAST_TRAIN = TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2, master_seed=7)
 SHORT_HORIZONS = HorizonSpec((("1w", 1), ("4w", 4)))
@@ -244,12 +248,12 @@ class TestRunGrid:
     def test_pool_has_no_more_processes_than_chunks(self, ar_split, monkeypatch):
         sizes = []
 
-        class RecordingPool(experiment.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         train_series, test_series = ar_split
         report = run_grid(train_series, test_series, small_grid(), workers=8)
         assert sizes == [4]
@@ -367,6 +371,44 @@ class TestRunGrid:
         with pytest.raises(Failing):
             run_grid(train_series, test_series, grid, workers=2, sink=FailingSink())
         assert time.perf_counter() - started < 0.5 * whole
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_without_fork_matches_serial(self, tmp_path, method):
+        # spawn (the macOS default) and forkserver (the Linux default from
+        # Python 3.14) start workers that inherit no state from the parent
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = tmp_path / "sweep.py"
+        script.write_text(POOL_SCRIPT)
+        run = subprocess.run([sys.executable, str(script), method], env=subprocess_env(),
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{method}: equal\n"
+
+
+POOL_SCRIPT = """\
+import io
+import multiprocessing
+import sys
+
+import fxcast as fx
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    series = fx.synthesize_series("noisy_ar1", 120, seed=3, y0=5.0)
+    train, test = fx.split_by_count(series, 110, 10)
+    grid = fx.GridConfig(
+        input_levels=(1, 2, 3), hidden_levels=(2, 3),
+        train_cfg=fx.TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2, master_seed=7),
+        horizon_spec=fx.HorizonSpec((("1w", 1), ("4w", 4))),
+    )
+    sinks = {workers: io.StringIO() for workers in (1, 2)}
+    reports = {workers: fx.run_grid(train, test, grid, workers=workers, sink=sink)
+               for workers, sink in sinks.items()}
+    assert reports[2] == reports[1]
+    assert sinks[2].getvalue() == sinks[1].getvalue()
+    print(f"{multiprocessing.get_start_method()}: equal")
+"""
 
 
 class TestLevelBlocks:

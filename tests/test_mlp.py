@@ -604,6 +604,21 @@ class TestModelSerialization:
         with pytest.raises(ReportVersionError):
             load_model(io.StringIO(text))
 
+    def test_version_true_rejected(self):
+        # a JSON true equals 1 but is not version 1
+        text = self.saved(init_weights(Architecture(1, 1), 0, 0.5))
+        with pytest.raises(ReportVersionError, match="version True"):
+            load_model(io.StringIO(text.replace('"version": 1', '"version": true')))
+
+    def test_nesting_past_the_recursion_limit(self):
+        # the JSON decoder raises RecursionError, not a JSONDecodeError
+        record = json.loads(self.saved(init_weights(Architecture(1, 1), 0, 0.5)))
+        record["p"] = "NESTED"
+        depth = 100_000
+        text = json.dumps(record).replace('"NESTED"', "[" * depth + "]" * depth)
+        with pytest.raises(ReportFormatError, match="corrupt model file"):
+            load_model(io.StringIO(text))
+
     def test_other_activation_rejected(self):
         net = init_weights(Architecture(1, 1), 0, 0.5)
         buffer = io.StringIO()
