@@ -130,17 +130,19 @@ def _add_split_flags(cmd):
 
 
 def _add_train_flags(cmd):
-    cmd.add_argument("--restarts", type=_positive_int, default=50,
-                     help="independent trainings per cell (default 50)")
+    cmd.add_argument("--restarts", type=_positive_int, default=TrainConfig.restarts,
+                     help="independent trainings per cell (default %(default)s)")
     cmd.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    cmd.add_argument("--learning-rate", type=_positive_float, default=None,
-                     help="gradient-descent step size")
-    cmd.add_argument("--max-epochs", type=_positive_int, default=None,
+    cmd.add_argument("--learning-rate", type=_positive_float,
+                     default=TrainConfig.learning_rate, help="gradient-descent step size")
+    cmd.add_argument("--max-epochs", type=_positive_int, default=TrainConfig.max_epochs,
                      help="epoch cap per restart")
-    cmd.add_argument("--min-sse-delta", type=_nonnegative_float, default=None,
+    cmd.add_argument("--min-sse-delta", type=_nonnegative_float,
+                     default=TrainConfig.min_sse_delta,
                      help="early-stop threshold on per-epoch SSE improvement")
-    cmd.add_argument("--init-half-width", type=_positive_float, default=None,
+    cmd.add_argument("--init-half-width", type=_positive_float,
+                     default=TrainConfig.init_half_width,
                      help="uniform initialization half-width")
     cmd.add_argument("--no-scale", action="store_true",
                      help="skip [0,1] min-max scaling of the training data")
@@ -169,18 +171,13 @@ def _split(args, series):
 
 
 def _train_config(args) -> TrainConfig:
-    defaults = TrainConfig()
-    seed = args.seed if args.seed is not None else _default_seed()
     return TrainConfig(
-        learning_rate=args.learning_rate or defaults.learning_rate,
-        max_epochs=args.max_epochs or defaults.max_epochs,
-        min_sse_delta=(
-            args.min_sse_delta if args.min_sse_delta is not None
-            else defaults.min_sse_delta
-        ),
+        learning_rate=args.learning_rate,
+        max_epochs=args.max_epochs,
+        min_sse_delta=args.min_sse_delta,
         restarts=args.restarts,
-        init_half_width=args.init_half_width or defaults.init_half_width,
-        master_seed=seed,
+        init_half_width=args.init_half_width,
+        master_seed=args.seed if args.seed is not None else _default_seed(),
     )
 
 
@@ -333,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = commands.add_parser("grid", help="run the full architecture sweep")
     grid.add_argument("data")
-    grid.add_argument("--inputs", type=_levels, default=tuple(range(1, 11)),
+    grid.add_argument("--inputs", type=_levels, default=GridConfig.input_levels,
                       help="input-node levels, e.g. 1..10 (default)")
-    grid.add_argument("--hidden", type=_levels, default=(6, 12, 18, 24, 30),
+    grid.add_argument("--hidden", type=_levels, default=GridConfig.hidden_levels,
                       help="hidden-node levels, e.g. 6,12,18,24,30 (default)")
     grid.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                       help="worker processes (default: machine parallelism)")

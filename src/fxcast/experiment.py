@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -34,10 +34,8 @@ from .mlp import (
     Architecture,
     TrainConfig,
     TrainResult,
-    _best_restart,
-    _initial_nets,
     _predict_block,
-    _train_block,
+    _restart_searches,
     train_multi_restart,
 )
 from .series import TimeSeries, WindowedDataset, fit_scaler, make_windows
@@ -84,8 +82,8 @@ class CellResult:
     ``evaluate_cell`` it is the whole call. From ``run_grid``, whose cells
     of one input level train and are scored together, it is the cell's
     share, by hidden rows (h + 1), of that level's wall time from windowing
-    to scoring; a pooled sweep that splits a level between chunks times
-    each part on its own.
+    to scoring; a pooled sweep that splits a level into pieces times each
+    piece on its own.
     """
 
     p: int
@@ -148,11 +146,12 @@ class GridReport:
 
 
 def _mean_row(rows) -> MetricRow:
+    # fsum rounds correctly, so the mean does not depend on the Python version
     n = len(rows)
     return MetricRow(
-        rmse=sum([r.rmse for r in rows]) / n,
-        mae=sum([r.mae for r in rows]) / n,
-        mape=sum([r.mape for r in rows]) / n,
+        rmse=math.fsum([r.rmse for r in rows]) / n,
+        mae=math.fsum([r.mae for r in rows]) / n,
+        mape=math.fsum([r.mape for r in rows]) / n,
     )
 
 
@@ -262,43 +261,29 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
 
 
 def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
-                 p: int, hidden_levels) -> list:
-    """The cells (p, h) for each h of ``hidden_levels``, as ``evaluate_cell``
-    scores them; a cell with no usable network becomes a CellFailure.
+                 p: int, widths) -> list:
+    """The cells (p, h) for each h of ``widths``, one piece of an input
+    level, as ``evaluate_cell`` scores them; a cell with no usable network
+    becomes a CellFailure.
 
-    The windows are built and scaled once, the restarts of every h train in
-    (h, k) order in one call of ``_train_block``, which cuts them into
-    blocks, and the winners are scored together by ``_score_level``. A
-    cell's ``train_seconds`` is its share, by hidden rows (h + 1), of this
-    call's wall time, from windowing to scoring.
+    The windows are built and scaled once, ``mlp._restart_searches`` trains
+    the restarts of all widths in one call, and ``_score_level`` scores the
+    winners together. A cell's ``train_seconds`` is its share, by hidden
+    rows (h + 1), of this call's wall time, from windowing to scoring.
     """
     started = time.perf_counter()
     try:
         scaler, data = _scaled_windows(train_series, p, grid.scale)
     except DataError as exc:
-        return [CellFailure(p=p, h=h, error=str(exc)) for h in hidden_levels]
-    cfg = grid.train_cfg
-    nets0 = [net for h in hidden_levels for net in _initial_nets(Architecture(p, h), cfg)]
-    runs = _train_block(nets0, data, cfg)
-    results = []
-    for j, h in enumerate(hidden_levels):
-        try:
-            results.append(_best_restart(runs[j * cfg.restarts:(j + 1) * cfg.restarts]))
-        except DivergenceError as exc:
-            results.append(CellFailure(p=p, h=h, error=str(exc)))
+        return [CellFailure(p=p, h=h, error=str(exc)) for h in widths]
+    results = _restart_searches([Architecture(p, h) for h in widths], data, grid.train_cfg)
+    results = [CellFailure(p=p, h=h, error=str(result))
+               if isinstance(result, DivergenceError) else result
+               for h, result in zip(widths, results)]
     items = _score_level(train_series, test_series, grid, scaler, data, results)
-    share = (time.perf_counter() - started) / sum(h + 1 for h in hidden_levels)
+    share = (time.perf_counter() - started) / sum(h + 1 for h in widths)
     return [replace(item, train_seconds=share * (item.h + 1))
             if isinstance(item, CellResult) else item for item in items]
-
-
-def _chunk_task(sweep, chunk) -> list:
-    """The items of the (p, h) cells of one chunk, in order, one input level
-    at a time; ``sweep`` is the (train series, test series, grid) of the run."""
-    items = []
-    for p, cells in groupby(chunk, key=itemgetter(0)):
-        items += _level_cells(*sweep, p, [h for _, h in cells])
-    return items
 
 
 # the sweep of the pool this worker process serves, set once at its start
@@ -310,49 +295,49 @@ def _start_worker(sweep):
     _worker_sweep = sweep
 
 
-def _worker_chunk(chunk) -> list:
-    return _chunk_task(_worker_sweep, chunk)
+def _worker_task(task) -> list:
+    return _level_cells(*_worker_sweep, *task)
 
 
-def _chunk_schedule(order, workers: int) -> list:
-    """Split ``order`` into contiguous chunks for a pool of ``workers``.
+def _chunk_schedule(grid: GridConfig, workers: int) -> list:
+    """The tasks of a sweep on a pool of ``workers``, in (p, h) order: each
+    a (p, widths) piece of one input level.
 
-    Each chunk takes 1/(16 * workers) of the cells not yet scheduled, at
-    least one, so chunk sizes shrink towards single cells at the end and the
-    workers finish close together. A grid of fewer than 32 * workers cells
-    gets one cell per chunk.
+    Each piece takes 1/(16 * workers) of the cells not yet scheduled, at
+    least one, but ends at the end of its level, so piece sizes shrink
+    towards single cells at the end and the workers finish close together.
+    A grid of fewer than 32 * workers cells gets one cell per piece.
     """
-    chunks = []
-    start = 0
-    while start < len(order):
-        size = max(1, (len(order) - start) // (16 * workers))
-        chunks.append(order[start:start + size])
-        start += size
-    return chunks
+    tasks, left = [], grid.cell_count
+    for p in grid.input_levels:
+        widths = grid.hidden_levels
+        while widths:
+            size = min(len(widths), max(1, left // (16 * workers)))
+            tasks.append((p, widths[:size]))
+            widths, left = widths[size:], left - size
+    return tasks
 
 
 def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
              workers: int = 1, sink=None, progress=None) -> GridReport:
     """Evaluate every (p, h) cell of the grid and assemble the report.
 
-    The grid runs in chunks of contiguous cells: serially one chunk per
-    input level, or, when ``workers`` > 1, the chunks of ``_chunk_schedule``
-    on a process pool of at most one process per chunk. The sweep inputs
-    (both series and the grid) go to each worker once, when it starts, and
-    each task carries only its chunk's (p, h) list. Within a chunk, the
-    cells of each input level p share one scaled set of windows, the
-    restarts of all their hidden widths train in (h, restart) order in one
-    call of ``_train_block``, which cuts them into blocks, and the winners
-    of all widths are scored together by ``_score_level``. A cell's
-    ``train_seconds`` is its share, by hidden rows (h + 1), of the wall time
-    of its input level's cells in its chunk. Blocking only saves numpy
-    calls: every network gets the bits that ``train`` gives it alone, every
-    cell the metrics that scoring it alone gives, and restart seeds depend
-    only on (master_seed, p, h, restart), so the output is identical at any
+    The grid runs as tasks, each a (p, widths) piece of one input level
+    that ``_level_cells`` runs: serially one task per whole level, or, when
+    ``workers`` > 1, the tasks of ``_chunk_schedule`` on a process pool of
+    at most one process per task. The sweep inputs (both series and the
+    grid) go to each worker once, when it starts, and each task carries
+    only its (p, widths) pair. Within a task the cells share one scaled set
+    of windows, the restarts of all widths train together, and the winners
+    are scored together; a cell's ``train_seconds`` is its share, by hidden
+    rows (h + 1), of the task's wall time. Blocking only saves numpy calls:
+    every network gets the bits that ``train`` gives it alone, every cell
+    the metrics that scoring it alone gives, and restart seeds depend only
+    on (master_seed, p, h, restart), so the output is identical at any
     worker count and equals ``evaluate_cell`` cell by cell.
 
     Results are read back in (p, h) order: a cell's record goes to ``sink``
-    and ``progress`` once its chunk and every chunk before it are done, so
+    and ``progress`` once its task and every task before it are done, so
     a serial sweep reports one input level at a time. With ``sink`` set, an
     interrupted sweep leaves a valid prefix.
 
@@ -368,32 +353,30 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
         writer.header(grid, train_series.name, len(train_series), len(test_series))
         writer.random_walk(rw_rows)
 
-    order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
     sweep = (train_series, test_series, grid)
     pool = None
     if workers == 1:
-        chunks = map(partial(_chunk_task, sweep),
-                     ([(p, h) for h in grid.hidden_levels] for p in grid.input_levels))
+        pieces = (_level_cells(*sweep, p, grid.hidden_levels) for p in grid.input_levels)
     else:
         # imported here, so that a serial sweep or a CLI command without a
         # pool does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        schedule = _chunk_schedule(order, workers)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(schedule)),
+        tasks = _chunk_schedule(grid, workers)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                    initializer=_start_worker, initargs=(sweep,))
-        chunks = pool.map(_worker_chunk, schedule)
+        pieces = pool.map(_worker_task, tasks)
     items = []
     try:
-        for item in chain.from_iterable(chunks):
+        for item in chain.from_iterable(pieces):
             items.append(item)
             if writer is not None:
                 writer.record(item)
             if progress is not None:
-                progress(len(items), len(order), item)
+                progress(len(items), grid.cell_count, item)
     finally:
-        # a failing sink, callback or worker ends the sweep after the chunks
-        # already running, not after every queued chunk
+        # a failing sink, callback or worker ends the sweep after the tasks
+        # already running, not after every queued task
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -678,8 +661,9 @@ def _lead_format(widths) -> str:
 def _metric_format(widths) -> str:
     """The %-format of RMSE, MAE and MAPE at 8 decimals in columns of
     ``widths``, each left-justified to its width but the last, which ends
-    the line."""
-    return "".join(f"%-{w}.8f" for w in widths[:-1]) + "%.8f"
+    the line. A column ends in a space even when its value overflows it, so
+    a too-wide value pushes the next one right instead of running into it."""
+    return "".join(f"%-{w - 1}.8f " for w in widths[:-1]) + "%.8f"
 
 
 def render_table(report: GridReport, which: str) -> str:

@@ -528,20 +528,12 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     return _train_block([net0], data, cfg)[0]
 
 
-def _initial_nets(arch: Architecture, cfg: TrainConfig) -> list:
-    """The starting network of each restart: restart k is init_weights seeded
-    by restart_seed(master_seed, p, h, k)."""
-    p, h = arch.input_count, arch.hidden_count
-    return [init_weights(arch, restart_seed(cfg.master_seed, p, h, k), cfg.init_half_width)
-            for k in range(cfg.restarts)]
-
-
-def _best_restart(runs) -> TrainResult:
+def _best_restart(runs):
     """The winner of a restart search over ``runs``, listed by restart index.
 
     Diverged runs are discarded; the winner is the minimum final SSE, ties
-    broken by lowest restart index. Raises DivergenceError if every run
-    diverged.
+    broken by lowest restart index. Returns a DivergenceError, unraised, if
+    every run diverged.
     """
     best: TrainRun | None = None
     best_index = -1
@@ -552,7 +544,7 @@ def _best_restart(runs) -> TrainResult:
             best = run
             best_index = index
     if best is None:
-        raise DivergenceError(f"all {len(runs)} restarts diverged")
+        return DivergenceError(f"all {len(runs)} restarts diverged")
     return TrainResult(
         best_net=best.net,
         best_sse=best.sse,
@@ -562,12 +554,32 @@ def _best_restart(runs) -> TrainResult:
     )
 
 
+def _restart_searches(archs, data: WindowedDataset, cfg: TrainConfig) -> list:
+    """The ``_best_restart`` of each architecture of ``archs`` on ``data``.
+
+    Restart k of (p, h) starts from init_weights seeded by
+    restart_seed(master_seed, p, h, k). The restarts of all architectures
+    train in (architecture, k) order in one call of ``_train_block``, which
+    cuts them into blocks; each gets the bits ``train`` gives it alone.
+    """
+    k = cfg.restarts
+    nets0 = [init_weights(arch, restart_seed(cfg.master_seed, arch.input_count,
+                                             arch.hidden_count, i), cfg.init_half_width)
+             for arch in archs for i in range(k)]
+    runs = _train_block(nets0, data, cfg)
+    return [_best_restart(runs[j:j + k]) for j in range(0, len(runs), k)]
+
+
 def train_multi_restart(
     arch: Architecture, data: WindowedDataset, cfg: TrainConfig
 ) -> TrainResult:
-    """Best of ``cfg.restarts`` independent trainings from seeded random inits
-    (see ``_initial_nets``), picked by ``_best_restart``."""
-    return _best_restart([train(net0, data, cfg) for net0 in _initial_nets(arch, cfg)])
+    """Best of ``cfg.restarts`` independent trainings from seeded random
+    inits, the restart search of ``_restart_searches`` for one architecture.
+    Raises DivergenceError if every restart diverged."""
+    [result] = _restart_searches([arch], data, cfg)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 _MODEL_FORMAT = "fxcast-mlp"

@@ -264,16 +264,12 @@ def test_c7_multi_restart_contract(monkeypatch):
     # exact float ties cannot arise from real training, so pin the
     # tie-breaking rule against a stubbed trainer
     sses = [2.0, 1.0, 1.0, 3.0]
-    calls = []
 
-    def fake_train(net0, _data, _cfg):
-        calls.append(net0)
-        return fxcast.mlp.TrainRun(
-            net=net0, sse=sses[len(calls) - 1], sse_trace=np.array([]),
-            diverged=False,
-        )
+    def fake_train_block(nets0, _data, _cfg):
+        return [fxcast.mlp.TrainRun(net=net0, sse=value, sse_trace=np.array([]),
+                                    diverged=False) for net0, value in zip(nets0, sses)]
 
-    monkeypatch.setattr(fxcast.mlp, "train", fake_train)
+    monkeypatch.setattr(fxcast.mlp, "_train_block", fake_train_block)
     tied = train_multi_restart(
         Architecture(1, 1),
         make_windows(series_of([0.1, 0.2, 0.3]), 1),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +325,38 @@ class TestReport:
         main(["report", report_file, "--view", view])
         view_out = capsys.readouterr().out
         assert f"# {view}\n{view_out}" in grid_out
+
+
+# The report of `fxcast synth --kind sine --n 160 --seed 5`, then `fxcast
+# grid --inputs 1..4 --hidden 2,3,5 --seed 3 --restarts 3 --max-epochs 30
+# --learning-rate 0.05`, whose restarts run away to metrics near 1e30, with
+# the exact text of each view. Reading and rendering call no BLAS and the
+# averages are correctly rounded, so every platform must give these bytes.
+GOLDEN = Path(__file__).parent / "data" / "runaway"
+
+
+class TestGoldenReport:
+    @pytest.mark.parametrize("view", _VIEWS)
+    def test_views_match_golden_text(self, view, capsys):
+        assert main(["report", f"{GOLDEN}.fxr", "--view", view]) == EXIT_OK
+        assert capsys.readouterr().out == Path(f"{GOLDEN}.{view}.txt").read_text()
+
+    @pytest.mark.parametrize("view", _VIEWS)
+    def test_wide_values_keep_columns_apart(self, view, capsys):
+        # a metric wider than its column still ends in a space, so every row
+        # splits into its heading's fields, less the empty Hidden of an Avgr row
+        main(["report", f"{GOLDEN}.fxr", "--view", view])
+        lines = capsys.readouterr().out.splitlines()
+        assert any(len(line) > 120 for line in lines)
+        for line in lines:
+            fields = line.split()
+            if not fields:
+                continue
+            if fields[0] in ("Input", "Sample"):
+                heading = fields
+                continue
+            blank = fields[0] == "Avgr" and "Hidden" in heading
+            assert len(fields) == len(heading) - blank, line
 
 
 class TestSeedEnvironment:

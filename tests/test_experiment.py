@@ -5,6 +5,7 @@ import io
 import json
 import math
 import multiprocessing
+import re
 import subprocess
 import sys
 import time
@@ -29,20 +30,23 @@ from fxcast import (
     evaluate_cell,
     fit_scaler,
     forward,
+    init_weights,
     load_report,
     make_windows,
     random_walk_rows,
     render_table,
+    restart_seed,
     run_grid,
     save_report,
     split_by_count,
     sse,
     synthesize_series,
     train,
+    train_multi_restart,
 )
 from fxcast import experiment
 from fxcast.experiment import _chunk_schedule
-from fxcast.mlp import _BLOCK_BUDGET, _initial_nets
+from fxcast.mlp import _BLOCK_BUDGET, _best_restart
 
 from conftest import series_of, subprocess_env
 
@@ -219,6 +223,18 @@ class TestRunGrid:
                 want = sum(dict(c.out_sample)[label].mae for c in group) / len(group)
                 assert row.mae == pytest.approx(want, abs=1e-12)
 
+    def test_average_is_correctly_rounded(self):
+        # the builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12
+        row = MetricRow(rmse=0.1, mae=0.1, mape=0.1)
+        cells = [CellResult(p=1, h=h, in_sample=row, out_sample=(("1w", row),), best_sse=1.0)
+                 for h in range(1, 11)]
+        grid = GridConfig(input_levels=(1,), hidden_levels=range(1, 11),
+                          horizon_spec=HorizonSpec((("1w", 1),)))
+        report = GridReport.build(cells, [], (("1w", row),), grid, "unit", 110, 10)
+        [average] = report.per_input_averages
+        assert average.in_sample == row
+        assert average.out_sample == (("1w", row),)
+
     def test_single_cell_average_is_cell(self, ar_split):
         train_series, test_series = ar_split
         report = run_grid(
@@ -329,7 +345,7 @@ class TestRunGrid:
         train_series, test_series = ar_split
         grid = small_grid(input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)))
         order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
-        assert len(_chunk_schedule(order, workers)) < len(order)
+        assert len(_chunk_schedule(grid, workers)) < len(order)
         serial = run_grid(train_series, test_series, grid)
         streamed = io.StringIO()
         seen = []
@@ -344,16 +360,15 @@ class TestRunGrid:
         assert seen == [(done, len(order), cell) for done, cell in enumerate(order, start=1)]
 
     def test_chunked_pool_stops_promptly_on_sink_error(self, ar_split):
-        # 100 cells on 2 workers run as chunks of up to 3 cells: a sink that
-        # fails on the first cell must stop the sweep after the chunks
+        # 100 cells on 2 workers run as pieces of up to 3 cells: a sink that
+        # fails on the first cell must stop the sweep after the pieces
         # already running, not after the ~50 cells per worker of the grid
         train_series, test_series = ar_split
         grid = small_grid(
             input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)),
             train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=300, restarts=2),
         )
-        order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
-        assert len(_chunk_schedule(order, 2)[0]) > 1
+        assert len(_chunk_schedule(grid, 2)[0][1]) > 1
         started = time.perf_counter()
         run_grid(train_series, test_series, grid, workers=2)
         whole = time.perf_counter() - started
@@ -412,8 +427,8 @@ if __name__ == "__main__":
 
 
 class TestLevelBlocks:
-    # run_grid trains the restarts of all hidden widths of one input level
-    # together; evaluate_cell trains one cell restart by restart
+    # run_grid trains the restarts of all hidden widths of one piece of an
+    # input level together; evaluate_cell trains the restarts of one width
     @pytest.mark.parametrize("learning_rate, max_epochs, outcomes", [
         (3e-3, 200, {"stopped early", "ran to the cap"}),
         (1e-1, 300, {"all restarts diverged"}),
@@ -444,7 +459,9 @@ class TestLevelBlocks:
                 for report in reports:
                     assert cell in report.cells
                 assert cell.best_sse == sse(net, data)
-                for net0 in _initial_nets(net.arch, cfg):
+                for k in range(cfg.restarts):
+                    net0 = init_weights(net.arch, restart_seed(cfg.master_seed, p, h, k),
+                                        cfg.init_half_width)
                     run = train(net0, data, cfg)
                     seen.add("some restarts diverged" if run.diverged else
                              "stopped early" if run.epochs_run < max_epochs else
@@ -460,31 +477,50 @@ WILD_TRAIN = TrainConfig(learning_rate=0.02, max_epochs=300, min_sse_delta=1e-3,
 OVERFLOW = "in-sample forecasts overflow the rmse"
 
 
+class TestRestartSearch:
+    # train_multi_restart trains a cell's restarts in shared blocks; it must
+    # pick what _best_restart picks from one train call per restart
+    @pytest.mark.parametrize("learning_rate, diverged", [(0.02, "some"), (0.03, "all")])
+    def test_equals_one_train_per_restart(self, ar_split, learning_rate, diverged):
+        cfg = dataclasses.replace(WILD_TRAIN, learning_rate=learning_rate, restarts=6)
+        arch = Architecture(4, 2)
+        _, data = experiment._scaled_windows(ar_split[0], 4, True)
+        assert cfg.restarts * (arch.hidden_count + 1) * len(data.targets) <= _BLOCK_BUDGET
+        runs = [train(init_weights(arch, restart_seed(cfg.master_seed, 4, 2, k),
+                                   cfg.init_half_width), data, cfg)
+                for k in range(cfg.restarts)]
+        count = sum(run.diverged for run in runs)
+        assert count == cfg.restarts if diverged == "all" else 0 < count < cfg.restarts
+        want = _best_restart(runs)
+        if diverged == "all":
+            with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
+                train_multi_restart(arch, data, cfg)
+        else:
+            assert train_multi_restart(arch, data, cfg) == want
+
+
 class TestCellSeconds:
     # a sweep's cell gets its share, by hidden rows (h + 1), of the wall time
-    # of its input level's cells in one chunk; evaluate_cell the whole call
+    # of its task, one piece of an input level; evaluate_cell the whole call
     @pytest.mark.parametrize("workers", [1, 2])
     def test_level_time_split_by_hidden_rows(self, ar_split, workers):
         train_series, test_series = ar_split
-        # 80 cells on 2 workers open with chunks of 2 cells
+        # 80 cells on 2 workers open with pieces of 2 cells
         grid = small_grid(input_levels=(1, 2, 3, 4), hidden_levels=tuple(range(1, 21)),
                           train_cfg=TrainConfig(max_epochs=5, restarts=1))
         if workers == 1:
-            chunks = [[(p, h) for h in grid.hidden_levels] for p in grid.input_levels]
+            tasks = [(p, grid.hidden_levels) for p in grid.input_levels]
         else:
-            chunks = _chunk_schedule([(p, h) for p in grid.input_levels
-                                      for h in grid.hidden_levels], workers)
-            assert max(len(chunk) for chunk in chunks) > 1
+            tasks = _chunk_schedule(grid, workers)
+            assert max(len(widths) for _, widths in tasks) > 1
         cells = {(c.p, c.h): c for c in run_grid(train_series, test_series, grid,
                                                  workers=workers).cells}
         assert len(cells) == grid.cell_count
         assert all(c.train_seconds > 0.0 for c in cells.values())
-        for chunk in chunks:
-            for p in {p for p, _ in chunk}:
-                level = [cells[p, h] for q, h in chunk if q == p]
-                per_row = level[0].train_seconds / (level[0].h + 1)
-                for cell in level:
-                    assert cell.train_seconds == pytest.approx(per_row * (cell.h + 1))
+        for p, widths in tasks:
+            per_row = cells[p, widths[0]].train_seconds / (widths[0] + 1)
+            for h in widths:
+                assert cells[p, h].train_seconds == pytest.approx(per_row * (h + 1))
 
     def test_evaluate_cell_times_the_call(self, ar_split):
         train_series, test_series = ar_split
@@ -548,16 +584,26 @@ class TestLevelScoring:
     (1, 2), (40, 2), (63, 2), (64, 2), (100, 3), (1000, 2), (1000, 8), (5000, 2),
 ])
 def test_chunk_schedule(cells, workers):
-    order = [(p, 1) for p in range(cells)]
-    chunks = _chunk_schedule(order, workers)
-    assert [cell for chunk in chunks for cell in chunk] == order
-    sizes = [len(chunk) for chunk in chunks]
-    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    tail = min(cells, 16 * workers)
-    assert sizes[-tail:] == [1] * tail
-    if cells < 32 * workers:
-        assert sizes == [1] * cells
-    assert len(chunks) <= 16 * workers * (1 + math.log(cells))
+    # the cells as one level per cell, as levels of 10 widths, and as one level
+    for widths in (1, 10, cells):
+        if cells % widths:
+            continue
+        grid = GridConfig(input_levels=range(1, cells // widths + 1),
+                          hidden_levels=range(1, widths + 1))
+        tasks = _chunk_schedule(grid, workers)
+        order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
+        assert [(p, h) for p, piece in tasks for h in piece] == order
+        # a piece takes its share of the cells left, or less where its level ends
+        left = cells
+        for _, piece in tasks:
+            share = max(1, left // (16 * workers))
+            assert len(piece) == share or (len(piece) < share and piece[-1] == widths)
+            left -= len(piece)
+        tail = min(cells, 16 * workers)
+        assert [len(piece) for _, piece in tasks[-tail:]] == [1] * tail
+        if cells < 32 * workers:
+            assert len(tasks) == cells
+        assert len(tasks) <= 16 * workers * (1 + math.log(cells)) + len(grid.input_levels)
 
 
 class TestReportPersistence:

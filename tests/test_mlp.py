@@ -479,13 +479,12 @@ class TestMultiRestart:
         arch = Architecture(2, 3)
         nets = []
 
-        def fake_train(net0, _data, _cfg):
-            nets.append(net0)
-            return fxcast.mlp.TrainRun(
-                net=net0, sse=1.25, sse_trace=np.array([1.25]), diverged=False
-            )
+        def fake_train_block(nets0, _data, _cfg):
+            nets.extend(nets0)
+            return [fxcast.mlp.TrainRun(net=net0, sse=1.25, sse_trace=np.array([1.25]),
+                                        diverged=False) for net0 in nets0]
 
-        monkeypatch.setattr(fxcast.mlp, "train", fake_train)
+        monkeypatch.setattr(fxcast.mlp, "_train_block", fake_train_block)
         cfg = TrainConfig(restarts=4, master_seed=0)
         result = train_multi_restart(arch, data, cfg)
         assert result.best_restart_index == 0
@@ -494,19 +493,14 @@ class TestMultiRestart:
     def test_diverged_restarts_excluded(self, monkeypatch):
         data = self.make_data()
         arch = Architecture(2, 3)
-        nets = []
 
-        def fake_train(net0, _data, _cfg):
-            diverged = len(nets) == 0  # first restart diverges with the best sse
-            nets.append(net0)
-            return fxcast.mlp.TrainRun(
-                net=net0,
-                sse=0.1 if diverged else 1.0 + len(nets),
-                sse_trace=np.array([]),
-                diverged=diverged,
-            )
+        def fake_train_block(nets0, _data, _cfg):
+            # the first restart diverges with the best sse
+            return [fxcast.mlp.TrainRun(net=net0, sse=0.1 if k == 0 else 1.0 + k,
+                                        sse_trace=np.array([]), diverged=k == 0)
+                    for k, net0 in enumerate(nets0)]
 
-        monkeypatch.setattr(fxcast.mlp, "train", fake_train)
+        monkeypatch.setattr(fxcast.mlp, "_train_block", fake_train_block)
         result = train_multi_restart(arch, data, TrainConfig(restarts=3, master_seed=0))
         assert result.best_restart_index == 1
 
