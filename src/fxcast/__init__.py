@@ -19,7 +19,6 @@ from .experiment import (
     CellResult,
     GridConfig,
     GridReport,
-    InputAverage,
     evaluate_cell,
     load_report,
     random_walk_rows,

@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -61,8 +62,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -71,8 +72,8 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be nonnegative and finite")
     return value
 
 

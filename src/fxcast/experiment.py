@@ -104,39 +104,23 @@ class CellFailure:
 
 
 @dataclass(frozen=True)
-class InputAverage:
-    """Per-input-level mean of each metric over the hidden levels."""
-
-    p: int
-    in_sample: MetricRow
-    out_sample: tuple
-
-
-@dataclass(frozen=True)
 class GridReport:
-    """Everything a sweep produced, plus the exact configuration that ran it."""
+    """Everything a sweep produced, plus the exact configuration that ran it:
+    the records of its report file, and nothing derived from them."""
 
     cells: tuple
     failures: tuple
-    per_input_averages: tuple
     random_walk_rows: tuple
     config: GridConfig
     series_name: str
     train_len: int
     test_len: int
 
-    @property
-    def master_seed(self) -> int:
-        return self.config.train_cfg.master_seed
-
     @classmethod
     def build(cls, cells, failures, random_walk_rows, config, series_name, train_len, test_len):
-        cells = tuple(sorted(cells, key=attrgetter("p", "h")))
-        failures = tuple(sorted(failures, key=attrgetter("p", "h")))
         return cls(
-            cells=cells,
-            failures=failures,
-            per_input_averages=_input_averages(cells, config),
+            cells=tuple(sorted(cells, key=attrgetter("p", "h"))),
+            failures=tuple(sorted(failures, key=attrgetter("p", "h"))),
             random_walk_rows=tuple(random_walk_rows),
             config=config,
             series_name=series_name,
@@ -145,38 +129,23 @@ class GridReport:
         )
 
 
+def _mean(values) -> float:
+    """The mean of finite values, correctly rounded (fsum), so it does not
+    depend on the Python version or the order of the values; if their sum
+    overflows, the mean of their halves, doubled, capped at the largest."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        return min(2.0 * math.fsum([v / (2 * n) for v in values]), max(values))
+
+
 def _mean_row(rows) -> MetricRow:
-    # fsum rounds correctly, so the mean does not depend on the Python version
-    n = len(rows)
     return MetricRow(
-        rmse=math.fsum([r.rmse for r in rows]) / n,
-        mae=math.fsum([r.mae for r in rows]) / n,
-        mape=math.fsum([r.mape for r in rows]) / n,
+        rmse=_mean([r.rmse for r in rows]),
+        mae=_mean([r.mae for r in rows]),
+        mape=_mean([r.mape for r in rows]),
     )
-
-
-def _input_averages(cells, config: GridConfig) -> tuple:
-    groups = {}
-    for c in cells:
-        groups.setdefault(c.p, []).append(c)
-    labels = config.horizon_spec.labels
-    averages = []
-    for p in config.input_levels:
-        group = groups.get(p)
-        if not group:
-            continue
-        out_samples = [dict(c.out_sample) for c in group]
-        out_rows = tuple(
-            (label, _mean_row([rows[label] for rows in out_samples])) for label in labels
-        )
-        averages.append(
-            InputAverage(
-                p=p,
-                in_sample=_mean_row([c.in_sample for c in group]),
-                out_sample=out_rows,
-            )
-        )
-    return tuple(averages)
 
 
 def _scaled_windows(train_series: TimeSeries, p: int, scale: bool):
@@ -435,8 +404,7 @@ def _config_from_json(obj) -> GridConfig:
     if set(train_cfg) != set(kinds):
         raise ReportFormatError(f"train_cfg fields {sorted(train_cfg)} are not {sorted(kinds)}")
     for name, value in train_cfg.items():
-        if type(_typed(value, kinds[name], name)) is float and not np.isfinite(value):
-            raise ReportFormatError(f"{name} {value!r} is not finite")
+        _typed(value, kinds[name], name)
     horizons = []
     for window in _typed(obj["horizons"], (list,), "horizons"):
         label, length = _typed(window, (list,), "horizon")
@@ -630,14 +598,11 @@ def load_report(source) -> GridReport:
         raise ReportFormatError(
             f"truncated report: expected {expected} cell records, found {len(records)}"
         )
-    try:
-        return GridReport.build(
-            [r for r in records if isinstance(r, CellResult)],
-            [r for r in records if isinstance(r, CellFailure)],
-            rw_rows, *header,
-        )
-    except (KeyError, DataError) as exc:
-        raise ReportFormatError(f"inconsistent report records: {exc}") from None
+    return GridReport.build(
+        [r for r in records if isinstance(r, CellResult)],
+        [r for r in records if isinstance(r, CellFailure)],
+        rw_rows, *header,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +637,8 @@ def render_table(report: GridReport, which: str) -> str:
     Views: ``in_sample`` (one row per cell plus an Avgr row per input
     level), ``out_sample_by_input`` (hidden-averaged rows per input level
     and horizon, ending with the RW benchmark row), and ``hidden_effect``
-    (per-cell out-of-sample rows per horizon).
+    (per-cell out-of-sample rows per horizon). The averages are computed
+    here, from the cells a view prints them for; a report holds none.
     """
     if which not in _LAYOUTS:
         raise DataError(f"unknown view {which!r}; expected one of {_VIEWS}")
@@ -682,12 +648,12 @@ def render_table(report: GridReport, which: str) -> str:
     lead_format = _lead_format(widths[:len(lead)])
     metric_format = _metric_format(widths[len(lead):])
 
-    def by_key(items, key, label) -> dict:
-        """{key(item): the item's row under label}, with None labelling the
+    def rows_under(label) -> dict:
+        """{(p, h): the cell's row under label}, with None labelling the
         in-sample rows."""
         if label is None:
-            return {key(item): item.in_sample for item in items}
-        return {key(item): row for item in items for found, row in item.out_sample
+            return {(c.p, c.h): c.in_sample for c in report.cells}
+        return {(c.p, c.h): row for c in report.cells for found, row in c.out_sample
                 if found == label}
 
     errors = {(f.p, f.h): f.error for f in report.failures}
@@ -712,16 +678,18 @@ def render_table(report: GridReport, which: str) -> str:
             lines.append("")
         headings = (*lead, *(m + suffix for m in ("RMSE", "MAE", "MAPE")))
         lines.append((_lead_format(widths) % headings).rstrip())
-        cell_rows = by_key(report.cells if per_cell else (), lambda c: (c.p, c.h), label)
-        average_rows = by_key(report.per_input_averages, lambda a: a.p, label)
+        cell_rows = rows_under(label)
         for p in report.config.input_levels:
             for h, hidden_column in hidden_columns:
                 cell = cell_rows.get((p, h))
                 row(input_columns[p] + hidden_column, errors[p, h] if cell is None else cell)
+            if not averaged:
+                continue
+            level = [cell_rows[p, h] for h in report.config.hidden_levels if (p, h) in cell_rows]
             # a per-cell view has already shown why an input level has no average
-            if averaged and (p in average_rows or not per_cell):
+            if level or not per_cell:
                 row(lead_format % (("Avgr", "") if per_cell else (p,)),
-                    average_rows[p] if p in average_rows else "no surviving cells")
+                    _mean_row(level) if level else "no surviving cells")
         if averaged and label is not None:
             row(lead_format % ("RW",), dict(report.random_walk_rows)[label])
     return "\n".join(lines) + "\n"
@@ -783,8 +751,9 @@ def _noisy_ar1(n, seed, **params):
     phi = float(params.get("phi", 0.8))
     sigma = float(params.get("sigma", 0.1))
     y0 = float(params.get("y0", 0.0))
-    if sigma < 0.0:
-        raise DataError("noisy_ar1 requires sigma >= 0")
+    # the noise is drawn from a range 2 * sigma wide
+    if not 0.0 <= 2.0 * sigma < np.inf:
+        raise DataError("noisy_ar1 requires 0 <= 2 * sigma < inf")
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
     noise = rng.uniform(-sigma, sigma, size=n - 1)
     values = np.empty(n)

@@ -117,16 +117,20 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise DataError("learning_rate must be positive")
+        # written as comparisons, so that nan fails them and an int too large
+        # for a float does not raise
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
         if self.max_epochs < 1:
             raise DataError("max_epochs must be at least 1")
-        if self.min_sse_delta < 0.0:
-            raise DataError("min_sse_delta must be nonnegative")
+        if not 0.0 <= self.min_sse_delta < math.inf:
+            raise DataError(f"min_sse_delta {self.min_sse_delta!r} is not nonnegative and finite")
         if self.restarts < 1:
             raise DataError("restarts must be at least 1")
-        if not self.init_half_width > 0.0:
-            raise DataError("init_half_width must be positive")
+        # the weights are drawn from a range 2 * init_half_width wide
+        if not 0.0 < 2 * self.init_half_width < math.inf:
+            raise DataError(f"init_half_width {self.init_half_width!r} is not positive "
+                            "with a finite draw range 2 * init_half_width")
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,6 +156,23 @@ class TestTrain:
         assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["grid", "train"])
+@pytest.mark.parametrize("flag, value, code", [
+    ("--min-sse-delta", "nan", EXIT_USAGE),
+    ("--learning-rate", "inf", EXIT_USAGE),
+    ("--init-half-width", "inf", EXIT_USAGE),
+    ("--init-half-width", "1e308", EXIT_DATA),  # finite, but its draw range 2 * w is not
+])
+def test_nonfinite_training_flags_rejected(data_file, tmp_path, command, flag, value, code,
+                                           capsys):
+    argv = ([command, data_file, "--inputs", "1", "--hidden", "2", *FAST, flag, value,
+             "--out", str(tmp_path / "out")] + (["--workers", "1"] if command == "grid" else []))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGrid:
     def test_two_cell_report(self, data_file, tmp_path, capsys):
         out = tmp_path / "grid.fxr"
@@ -267,6 +284,9 @@ class TestReport:
         ("header", "train_len", -5, "hidden_effect"),
         ("header", "test_len", 0, "out_sample"),
         ("failure", "error", None, "in_sample"),
+        # training values that TrainConfig rejects, as the CLI flags do
+        ("header", "config.train_cfg.min_sse_delta", float("nan"), "in_sample"),
+        ("header", "config.train_cfg.learning_rate", float("inf"), "in_sample"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
@@ -327,25 +347,31 @@ class TestReport:
         assert f"# {view}\n{view_out}" in grid_out
 
 
-# The report of `fxcast synth --kind sine --n 160 --seed 5`, then `fxcast
-# grid --inputs 1..4 --hidden 2,3,5 --seed 3 --restarts 3 --max-epochs 30
-# --learning-rate 0.05`, whose restarts run away to metrics near 1e30, with
-# the exact text of each view. Reading and rendering call no BLAS and the
-# averages are correctly rounded, so every platform must give these bytes.
-GOLDEN = Path(__file__).parent / "data" / "runaway"
+# runaway: the report of `fxcast synth --kind sine --n 160 --seed 5`, then
+# `fxcast grid --inputs 1..4 --hidden 2,3,5 --seed 3 --restarts 3
+# --max-epochs 30 --learning-rate 0.05`, whose restarts run away to metrics
+# near 1e30. overflow: the same report with the in-sample MAPE of every p = 2
+# cell set to 1e308, so that the sum of that level's MAPEs overflows a float.
+# Each comes with the exact text of each view. Reading and rendering call no
+# BLAS and the averages are correctly rounded, so every platform must give
+# these bytes.
+GOLDEN = Path(__file__).parent / "data"
+# (report, view); the runaway report's cases keep the plain view as their id
+GOLDEN_CASES = [pytest.param(name, view, id=view if name == "runaway" else f"{name}-{view}")
+                for name in ("runaway", "overflow") for view in _VIEWS]
 
 
 class TestGoldenReport:
-    @pytest.mark.parametrize("view", _VIEWS)
-    def test_views_match_golden_text(self, view, capsys):
-        assert main(["report", f"{GOLDEN}.fxr", "--view", view]) == EXIT_OK
-        assert capsys.readouterr().out == Path(f"{GOLDEN}.{view}.txt").read_text()
+    @pytest.mark.parametrize("name, view", GOLDEN_CASES)
+    def test_views_match_golden_text(self, name, view, capsys):
+        assert main(["report", str(GOLDEN / f"{name}.fxr"), "--view", view]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.{view}.txt").read_text()
 
-    @pytest.mark.parametrize("view", _VIEWS)
-    def test_wide_values_keep_columns_apart(self, view, capsys):
+    @pytest.mark.parametrize("name, view", GOLDEN_CASES)
+    def test_wide_values_keep_columns_apart(self, name, view, capsys):
         # a metric wider than its column still ends in a space, so every row
         # splits into its heading's fields, less the empty Hidden of an Avgr row
-        main(["report", f"{GOLDEN}.fxr", "--view", view])
+        main(["report", str(GOLDEN / f"{name}.fxr"), "--view", view])
         lines = capsys.readouterr().out.splitlines()
         assert any(len(line) > 120 for line in lines)
         for line in lines:

@@ -91,6 +91,12 @@ class TestSynthesize:
         with pytest.raises(DataError):
             synthesize_series("logistic_map", 10, x0=1.5)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf"), 1e308])
+    def test_invalid_ar1_sigma(self, sigma):
+        # the noise range 2 * sigma must be nonnegative and finite
+        with pytest.raises(DataError, match="sigma"):
+            synthesize_series("noisy_ar1", 10, sigma=sigma)
+
     def test_unknown_kind(self):
         with pytest.raises(DataError):
             synthesize_series("brownian", 10)
@@ -213,27 +219,35 @@ class TestRunGrid:
         report = run_grid(train_series, test_series, grid)
         assert len(report.cells) == 4
         assert [(c.p, c.h) for c in report.cells] == [(1, 2), (1, 3), (2, 2), (2, 3)]
-        # averages recomputable from cells
-        for avg in report.per_input_averages:
-            group = [c for c in report.cells if c.p == avg.p]
-            assert avg.in_sample.rmse == pytest.approx(
-                sum(c.in_sample.rmse for c in group) / len(group), abs=1e-12
-            )
-            for label, row in avg.out_sample:
-                want = sum(dict(c.out_sample)[label].mae for c in group) / len(group)
-                assert row.mae == pytest.approx(want, abs=1e-12)
+        # the rendered averages are the means of the cells, to 8 decimals
+        def mean(values):
+            return pytest.approx(sum(values) / len(values), abs=1e-8)
+
+        groups = [[c for c in report.cells if c.p == p] for p in grid.input_levels]
+        in_sample = render_table(report, "in_sample").splitlines()
+        averages = [line.split()[1:] for line in in_sample if line.startswith("Avgr")]
+        for group, printed in zip(groups, averages, strict=True):
+            assert float(printed[0]) == mean([c.in_sample.rmse for c in group])
+        blocks = render_table(report, "out_sample_by_input").split("\n\n")
+        for label, block in zip(SHORT_HORIZONS.labels, blocks, strict=True):
+            rows = {line.split()[0]: line.split()[1:] for line in block.splitlines()[1:]}
+            for p, group in zip(grid.input_levels, groups):
+                assert float(rows[str(p)][1]) == mean([dict(c.out_sample)[label].mae
+                                                       for c in group])
 
     def test_average_is_correctly_rounded(self):
-        # the builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12
+        # the builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12;
+        # 8 decimals of text cannot tell the two apart, so this asks the helper
         row = MetricRow(rmse=0.1, mae=0.1, mape=0.1)
-        cells = [CellResult(p=1, h=h, in_sample=row, out_sample=(("1w", row),), best_sse=1.0)
-                 for h in range(1, 11)]
-        grid = GridConfig(input_levels=(1,), hidden_levels=range(1, 11),
-                          horizon_spec=HorizonSpec((("1w", 1),)))
-        report = GridReport.build(cells, [], (("1w", row),), grid, "unit", 110, 10)
-        [average] = report.per_input_averages
-        assert average.in_sample == row
-        assert average.out_sample == (("1w", row),)
+        assert experiment._mean_row([row] * 10) == row
+
+    def test_average_of_huge_values_is_finite(self):
+        # their sum overflows a float, and fsum raises instead of giving inf
+        big = MetricRow(rmse=1e308, mae=sys.float_info.max, mape=1.0)
+        mean = experiment._mean_row([big] * 3)
+        assert mean.rmse == pytest.approx(1e308, rel=1e-15)
+        assert mean.mae == sys.float_info.max
+        assert mean.mape == 1.0
 
     def test_single_cell_average_is_cell(self, ar_split):
         train_series, test_series = ar_split
@@ -241,7 +255,8 @@ class TestRunGrid:
             train_series, test_series, small_grid(input_levels=(1,), hidden_levels=(2,))
         )
         assert len(report.cells) == 1
-        assert report.per_input_averages[0].in_sample == report.cells[0].in_sample
+        _, cell_line, average_line = render_table(report, "in_sample").splitlines()
+        assert average_line.split()[1:] == cell_line.split()[2:]
 
     def test_rw_rows_independent_of_grid(self, ar_split):
         train_series, test_series = ar_split
@@ -295,7 +310,10 @@ class TestRunGrid:
         assert len(report.cells) == 0
         assert len(report.failures) == 4
         assert all("diverged" in f.error for f in report.failures)
-        assert report.per_input_averages == ()
+        # no level has an average: in_sample shows none, out_sample_by_input says why
+        assert "Avgr" not in render_table(report, "in_sample")
+        by_input = render_table(report, "out_sample_by_input")
+        assert by_input.count("FAILED: no surviving cells") == 2 * len(SHORT_HORIZONS.labels)
 
     def test_progress_callback(self, ar_split):
         train_series, test_series = ar_split

@@ -114,6 +114,19 @@ class TestInitWeights:
         with pytest.raises(DataError):
             TrainConfig(init_half_width=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")),
+        ("min_sse_delta", float("inf")),
+        ("min_sse_delta", float("nan")),
+        ("init_half_width", float("inf")),
+        ("init_half_width", float("nan")),
+        ("init_half_width", 1e308),  # its draw range 2 * 1e308 overflows
+    ])
+    def test_nonfinite_values_rejected_by_config(self, field, value):
+        with pytest.raises(DataError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestForward:
     def test_zero_network(self):
