@@ -47,34 +47,24 @@ SEED_ENV_VAR = "FXCAST_SEED"
 DEFAULT_TEST_LEN = 52
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _number_parser(kind: str, convert, accept, rule: str):
+    """An argparse type for ``kind``: ``convert`` of the text, which must pass ``accept``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError("must be nonnegative and finite")
-    return value
+_positive_int = _number_parser("an integer", int, lambda v: v >= 1, "must be at least 1")
+_positive_float = _number_parser("a number", float, lambda v: 0.0 < v < math.inf,
+                                 "must be positive and finite")
+_nonnegative_float = _number_parser("a number", float, lambda v: 0.0 <= v < math.inf,
+                                    "must be nonnegative and finite")
 
 
 def _levels(text: str) -> tuple:

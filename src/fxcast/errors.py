@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the JSON type checks that raise them."""
+"""Exception types shared across the package, and the type checks that raise them."""
+
+import numbers
 
 
 class FxcastError(Exception):
@@ -31,10 +33,15 @@ class ReportVersionError(ReportFormatError):
     """A report or model file declares an unsupported format version."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: any numbers.Integral but a bool, such as a numpy integer."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool):
+        return int(value)
+    raise DataError(f"{what} {value!r} is not an integer")
+
+
 def _typed(value, kinds: tuple, what: str):
-    """``value`` if its type is one of ``kinds``. The loaders' dataclasses run
-    int() on their values or just compare them, so a 1.5 or a true must be
-    rejected here."""
+    """``value`` if its type is one of ``kinds``: a JSON value no config class checks."""
     if type(value) not in kinds:
         raise ReportFormatError(f"{what} {value!r} is not of type "
                                 f"{' or '.join(kind.__name__ for kind in kinds)}")

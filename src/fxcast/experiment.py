@@ -8,7 +8,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, product
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from .errors import (
     DivergenceError,
     ReportFormatError,
     ReportVersionError,
+    _integer,
     _number,
     _typed,
 )
@@ -57,10 +58,11 @@ class GridConfig:
     scale: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "input_levels", tuple(int(v) for v in self.input_levels))
-        object.__setattr__(self, "hidden_levels", tuple(int(v) for v in self.hidden_levels))
+        if type(self.scale) is not bool:
+            raise DataError(f"scale {self.scale!r} is not a bool")
         for name in ("input_levels", "hidden_levels"):
-            levels = getattr(self, name)
+            levels = tuple(_integer(v, name) for v in getattr(self, name))
+            object.__setattr__(self, name, levels)
             if not levels:
                 raise DataError(f"{name} must be nonempty")
             if levels[0] < 1:
@@ -392,30 +394,17 @@ def _config_to_json(config: GridConfig) -> dict:
 
 
 def _config_from_json(obj) -> GridConfig:
-    """The GridConfig of a header, each value of the JSON type that
-    ``_config_to_json`` writes for it."""
-    def levels(key):
-        return tuple(_typed(v, (int,), key) for v in _typed(obj[key], (list,), key))
-
+    """The GridConfig of a header; the config classes check each value."""
     train_cfg = _typed(obj["train_cfg"], (dict,), "train_cfg")
-    # a float field may hold an int, as a TrainConfig built in code may
-    kinds = {f.name: (int, float) if type(f.default) is float else (int,)
-             for f in fields(TrainConfig)}
-    if set(train_cfg) != set(kinds):
-        raise ReportFormatError(f"train_cfg fields {sorted(train_cfg)} are not {sorted(kinds)}")
-    for name, value in train_cfg.items():
-        _typed(value, kinds[name], name)
-    horizons = []
-    for window in _typed(obj["horizons"], (list,), "horizons"):
-        label, length = _typed(window, (list,), "horizon")
-        horizons.append((_typed(label, (str,), "horizon label"),
-                         _typed(length, (int,), "horizon length")))
+    names = sorted(f.name for f in fields(TrainConfig))
+    if sorted(train_cfg) != names:  # a field left out would take its default
+        raise ReportFormatError(f"train_cfg fields {sorted(train_cfg)} are not {names}")
     return GridConfig(
-        input_levels=levels("input_levels"),
-        hidden_levels=levels("hidden_levels"),
+        input_levels=obj["input_levels"],
+        hidden_levels=obj["hidden_levels"],
         train_cfg=TrainConfig(**train_cfg),
-        horizon_spec=HorizonSpec(tuple(horizons)),
-        scale=_typed(obj["scale"], (bool,), "scale"),
+        horizon_spec=HorizonSpec(obj["horizons"]),
+        scale=obj["scale"],
     )
 
 
@@ -639,6 +628,7 @@ def render_table(report: GridReport, which: str) -> str:
     and horizon, ending with the RW benchmark row), and ``hidden_effect``
     (per-cell out-of-sample rows per horizon). The averages are computed
     here, from the cells a view prints them for; a report holds none.
+    Raises DataError for an unknown view or a grid cell with no record.
     """
     if which not in _LAYOUTS:
         raise DataError(f"unknown view {which!r}; expected one of {_VIEWS}")
@@ -657,6 +647,10 @@ def render_table(report: GridReport, which: str) -> str:
                 if found == label}
 
     errors = {(f.p, f.h): f.error for f in report.failures}
+    missing = set(product(report.config.input_levels, report.config.hidden_levels))
+    missing -= errors.keys() | {(c.p, c.h) for c in report.cells}
+    if missing:
+        raise DataError(f"report has no record of cell {min(missing)}")
     input_columns, hidden_columns = {}, []
     if per_cell:
         # a cell row leads with its input level's columns, then its Hidden

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _integer
 from .series import _frozen_array
 
 
@@ -70,9 +70,11 @@ class HorizonSpec:
     windows: tuple = (("1m", 4), ("6m", 26), ("12m", 52))
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "windows", tuple((str(label), int(n)) for label, n in self.windows)
-        )
+        windows = tuple(self.windows)  # once, so that a generator works
+        if not all(isinstance(label, str) for label, _ in windows):
+            raise DataError(f"horizon labels of {windows!r} are not all strings")
+        object.__setattr__(self, "windows", tuple(
+            (label, _integer(n, "horizon length")) for label, n in windows))
         if not self.windows:
             raise DataError("horizon spec must define at least one window")
         lengths = [n for _, n in self.windows]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from .errors import (
     DivergenceError,
     ReportFormatError,
     ReportVersionError,
+    _integer,
     _number,
     _typed,
 )
@@ -44,10 +45,10 @@ class Architecture:
     hidden_count: int
 
     def __post_init__(self):
-        if self.input_count < 1:
-            raise DataError("input_count must be at least 1")
-        if self.hidden_count < 1:
-            raise DataError("hidden_count must be at least 1")
+        for name in ("input_count", "hidden_count"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +118,13 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # ints are stored as int, so numpy integers serialize; floats keep their bytes
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                object.__setattr__(self, f.name, _integer(value, f.name))
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(f"{f.name} {value!r} is not a number")
         # written as comparisons, so that nan fails them and an int too large
         # for a float does not raise
         if not 0.0 < self.learning_rate < math.inf:
@@ -644,8 +652,7 @@ def load_model(source) -> Mlp:
     try:
         rows = _typed(record["hidden_weights"], (list,), "hidden_weights")
         return Mlp(
-            arch=Architecture(input_count=_typed(record["p"], (int,), "p"),
-                              hidden_count=_typed(record["h"], (int,), "h")),
+            arch=Architecture(input_count=record["p"], hidden_count=record["h"]),
             hidden_weights=[numbers(row, "hidden_weights") for row in rows],
             hidden_biases=numbers(record["hidden_biases"], "hidden_biases"),
             output_weights=numbers(record["output_weights"], "output_weights"),

@@ -264,8 +264,8 @@ class TestReport:
         ("header", "train_len", 60.9, "hidden_effect"),
         ("cell", "best_sse", float("nan"), "in_sample"),
         ("cell", "best_sse", -1.0, "in_sample"),
-        # config values that GridConfig, HorizonSpec or TrainConfig would
-        # coerce or keep; a dotted field names a nested value
+        # config values that GridConfig, HorizonSpec and TrainConfig reject
+        # when built in code too; a dotted field names a nested value
         ("header", "config.input_levels", [1.5, 2], "in_sample"),
         ("header", "config.hidden_levels", [2.0], "in_sample"),
         ("header", "config.horizons.0.1", 4.9, "out_sample"),

@@ -713,6 +713,19 @@ class TestReportPersistence:
         assert list(header["config"]["train_cfg"]) == names
         assert load_report(path).config.train_cfg == cfg
 
+    def test_numpy_integers_round_trip(self, ar_split):
+        # a config built from numpy integers streams a report that reads back
+        train_series, test_series = ar_split
+        cfg = TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2,
+                          master_seed=np.int64(3))
+        grid = small_grid(input_levels=np.arange(1, 3), hidden_levels=(2,), train_cfg=cfg)
+        buffer = io.StringIO()
+        report = run_grid(train_series, test_series, grid, sink=buffer)
+        buffer.seek(0)
+        loaded = load_report(buffer)
+        assert loaded.config == grid
+        assert loaded == report
+
     def test_failures_round_trip(self, ar_split):
         train_series, test_series = ar_split
         bad_cfg = TrainConfig(learning_rate=1e9, max_epochs=20, restarts=2, master_seed=1)
@@ -721,6 +734,22 @@ class TestReportPersistence:
         save_report(report, buffer)
         buffer.seek(0)
         assert load_report(buffer) == report
+
+
+# Each config class checks the types of its own fields, whether a config is
+# built in code or read from a report header.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TrainConfig(max_epochs=2.5), id="max_epochs-2.5"),
+    pytest.param(lambda: TrainConfig(restarts=1.5), id="restarts-1.5"),
+    pytest.param(lambda: TrainConfig(restarts=True), id="restarts-True"),
+    pytest.param(lambda: GridConfig(input_levels=(1.5, 2)), id="input_levels-1.5"),
+    pytest.param(lambda: GridConfig(scale="no"), id="scale-no"),
+    pytest.param(lambda: HorizonSpec((("a", 4.9),)), id="horizon-4.9"),
+    pytest.param(lambda: Architecture(True, 2), id="input_count-True"),
+])
+def test_config_types_checked_at_construction(build):
+    with pytest.raises(DataError):
+        build()
 
 
 def tiny_report():
@@ -853,6 +882,13 @@ class TestRenderTable:
     def test_unknown_view(self):
         with pytest.raises(DataError):
             render_table(tiny_report(), "bogus")
+
+    @pytest.mark.parametrize("view", experiment._VIEWS)
+    def test_cell_without_record_named(self, view):
+        report = tiny_report()
+        report = dataclasses.replace(report, cells=report.cells[1:])
+        with pytest.raises(DataError, match=r"cell \(1, 2\)"):
+            render_table(report, view)
 
     @pytest.mark.parametrize("name, view", VIEW_TEXT)
     def test_exact_text(self, name, view):

@@ -14,6 +14,7 @@ from fxcast import (
     ReportFormatError,
     ReportVersionError,
     TrainConfig,
+    WindowedDataset,
     forward,
     gradient,
     init_weights,
@@ -399,6 +400,29 @@ class TestTrainBlock:
                 outcomes["diverged" if run.diverged else "stopped early"
                          if run.epochs_run < cfg.max_epochs else "ran to the cap"] += 1
         assert min(outcomes.values()) >= 5, outcomes
+
+    def test_overflowing_step_leaves_only_its_network(self):
+        # A fits its targets exactly, so its gradient and step are 0; B's
+        # first step at this learning rate overflows its parameters. B must
+        # leave the block diverged at epoch 0, and A redo that epoch and
+        # converge, each as train() gives it alone
+        rng = np.random.default_rng(77)
+        a = init_weights(Architecture(2, 3), 1, 0.5)
+        b = Mlp(a.arch, a.hidden_weights, a.hidden_biases, a.output_weights,
+                a.output_bias + 100.0)
+        inputs = rng.uniform(0, 1, (20, 2))
+        data = WindowedDataset(2, inputs, predict(a, inputs))
+        cfg = TrainConfig(learning_rate=1e308)
+        runs = fxcast.mlp._train_block([a, b], data, cfg)  # one block of two
+        assert [run.diverged for run in runs] == [False, True]
+        assert [run.epochs_run for run in runs] == [1, 0]
+        assert runs[0].sse == 0.0
+        for net0, run in zip((a, b), runs):
+            alone = train(net0, data, cfg)
+            assert run.diverged == alone.diverged
+            assert run.sse == alone.sse
+            assert run.sse_trace.tobytes() == alone.sse_trace.tobytes()
+            assert flatten_params(run.net).tobytes() == flatten_params(alone.net).tobytes()
 
     def test_window_mismatch(self):
         data = make_windows(series_of(np.linspace(0.1, 0.9, 12)), 2)
