@@ -34,7 +34,6 @@ from .metrics import (
     evaluate_horizons,
     mae,
     mape,
-    metric_row,
     random_walk,
     rmse,
 )

@@ -8,22 +8,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _integer
-from .series import _frozen_array
+from .series import _Record
 
 
 _NONFINITE = "forecast set contains non-finite values"
 
 
 @dataclass(frozen=True, eq=False)
-class ForecastSet:
+class ForecastSet(_Record):
     """Paired actual and predicted values, both in original units."""
 
     actual: np.ndarray
     predicted: np.ndarray
+    _arrays = ("actual", "predicted")
 
     def __post_init__(self):
-        object.__setattr__(self, "actual", _frozen_array(self.actual))
-        object.__setattr__(self, "predicted", _frozen_array(self.predicted))
+        super().__post_init__()
         if self.actual.ndim != 1 or self.predicted.ndim != 1:
             raise DataError("forecast values must be one-dimensional")
         if len(self.actual) != len(self.predicted):
@@ -35,13 +35,6 @@ class ForecastSet:
 
     def __len__(self) -> int:
         return len(self.actual)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ForecastSet):
-            return NotImplemented
-        return np.array_equal(self.actual, other.actual) and np.array_equal(
-            self.predicted, other.predicted
-        )
 
 
 @dataclass(frozen=True)
@@ -168,14 +161,6 @@ def _horizon_rows(actual, predicted, spec: HorizonSpec, what: str = "forecasts")
                                     for cell in zip(*windows)])
 
 
-def _one(items):
-    """The item of a block of one forecast set; a failure raises DataError."""
-    [item] = items
-    if isinstance(item, str):
-        raise DataError(item)
-    return item
-
-
 def rmse(fs: ForecastSet) -> float:
     """Root mean squared error: sqrt(sum((y - yhat)^2) / T)."""
     return float(_rmse(fs.actual - fs.predicted))
@@ -195,11 +180,6 @@ def mape(fs: ForecastSet) -> float:
     return float(_mape(fs.actual, fs.actual - fs.predicted))
 
 
-def metric_row(fs: ForecastSet) -> MetricRow:
-    """All three measures for one forecast set."""
-    return _one(_metric_rows(fs.actual, fs.predicted[None]))
-
-
 def random_walk(history_last: float, test) -> ForecastSet:
     """Naive one-step-ahead benchmark: predict each value by its predecessor.
 
@@ -215,4 +195,7 @@ def random_walk(history_last: float, test) -> ForecastSet:
 
 def evaluate_horizons(fs: ForecastSet, spec: HorizonSpec = HorizonSpec()):
     """Metric rows over each horizon prefix of the forecast stream."""
-    return _one(_horizon_rows(fs.actual, fs.predicted[None], spec))
+    [rows] = _horizon_rows(fs.actual, fs.predicted[None], spec)
+    if isinstance(rows, str):
+        raise DataError(rows)
+    return rows

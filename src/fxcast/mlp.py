@@ -19,7 +19,7 @@ from .errors import (
     _number,
     _typed,
 )
-from .series import WindowedDataset, _frozen_array
+from .series import WindowedDataset, _Record
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -52,7 +52,7 @@ class Architecture:
 
 
 @dataclass(frozen=True, eq=False)
-class Mlp:
+class Mlp(_Record):
     """Fully connected three-layer network: weights and biases per layer."""
 
     arch: Architecture
@@ -60,11 +60,10 @@ class Mlp:
     hidden_biases: np.ndarray  # (h,)
     output_weights: np.ndarray  # (h,)
     output_bias: float
+    _arrays = ("hidden_weights", "hidden_biases", "output_weights")
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_weights", _frozen_array(self.hidden_weights))
-        object.__setattr__(self, "hidden_biases", _frozen_array(self.hidden_biases))
-        object.__setattr__(self, "output_weights", _frozen_array(self.output_weights))
+        super().__post_init__()
         object.__setattr__(self, "output_bias", float(self.output_bias))
         p, h = self.arch.input_count, self.arch.hidden_count
         if self.hidden_weights.shape != (h, p):
@@ -79,26 +78,16 @@ class Mlp:
         if not np.isfinite(self.output_bias):
             raise DataError("network parameters must be finite")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mlp):
-            return NotImplemented
-        return (
-            self.arch == other.arch
-            and np.array_equal(self.hidden_weights, other.hidden_weights)
-            and np.array_equal(self.hidden_biases, other.hidden_biases)
-            and np.array_equal(self.output_weights, other.output_weights)
-            and self.output_bias == other.output_bias
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class Gradient:
+class Gradient(_Record):
     """Partial derivatives of the SSE, shaped like the network parameters."""
 
     hidden_weights: np.ndarray
     hidden_biases: np.ndarray
     output_weights: np.ndarray
     output_bias: float
+    _arrays = ("hidden_weights", "hidden_biases", "output_weights")
 
 
 @dataclass(frozen=True)
@@ -125,8 +114,12 @@ class TrainConfig:
                 object.__setattr__(self, f.name, _integer(value, f.name))
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataError(f"{f.name} {value!r} is not a number")
-        # written as comparisons, so that nan fails them and an int too large
-        # for a float does not raise
+            else:
+                try:
+                    float(value)  # what training computes with
+                except OverflowError:
+                    raise DataError(f"{f.name} is an integer too large for a float") from None
+        # written as comparisons, so that nan fails them
         if not 0.0 < self.learning_rate < math.inf:
             raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
         if self.max_epochs < 1:
@@ -136,22 +129,21 @@ class TrainConfig:
         if self.restarts < 1:
             raise DataError("restarts must be at least 1")
         # the weights are drawn from a range 2 * init_half_width wide
-        if not 0.0 < 2 * self.init_half_width < math.inf:
+        if not 0.0 < 2.0 * self.init_half_width < math.inf:
             raise DataError(f"init_half_width {self.init_half_width!r} is not positive "
                             "with a finite draw range 2 * init_half_width")
 
 
 @dataclass(frozen=True, eq=False)
-class TrainRun:
+class TrainRun(_Record):
     """Outcome of a single gradient-descent run."""
 
     net: Mlp
     sse: float
     sse_trace: np.ndarray  # SSE after each completed epoch
     diverged: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "sse_trace", _frozen_array(self.sse_trace))
+    ran_away: bool = False  # finite, but ended above the SSE it started from
+    _arrays = ("sse_trace",)
 
     @property
     def epochs_run(self) -> int:
@@ -159,7 +151,7 @@ class TrainRun:
 
 
 @dataclass(frozen=True, eq=False)
-class TrainResult:
+class TrainResult(_Record):
     """Best restart of a multi-restart search."""
 
     best_net: Mlp
@@ -167,20 +159,7 @@ class TrainResult:
     best_restart_index: int
     epochs_run: int
     sse_trace: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sse_trace", _frozen_array(self.sse_trace))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrainResult):
-            return NotImplemented
-        return (
-            self.best_net == other.best_net
-            and self.best_sse == other.best_sse
-            and self.best_restart_index == other.best_restart_index
-            and self.epochs_run == other.epochs_run
-            and np.array_equal(self.sse_trace, other.sse_trace)
-        )
+    _arrays = ("sse_trace",)
 
 
 def restart_seed(master_seed: int, p: int, h: int, restart_index: int) -> int:
@@ -349,10 +328,11 @@ class _Params:
         self.output_products = list(zip(self.w2s, block.extended, block.out))
 
     def layers(self, k: int):
-        """Copies of network k's (hidden weights, hidden biases, output
-        weights, output bias)."""
+        """Network k's (hidden weights, hidden biases, output weights,
+        output bias): views of the vector but the bias, which the record
+        built from them copies."""
         w1, w2 = self.w1s[k], self.w2s[k]
-        return w1[:, :-1].copy(), w1[:, -1].copy(), w2[:-1].copy(), float(w2[-1])
+        return w1[:, :-1], w1[:, -1], w2[:-1], float(w2[-1])
 
 
 def _forward(params: _Params, block: _Block) -> np.ndarray:
@@ -478,6 +458,7 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     lr, max_epochs, min_delta = cfg.learning_rate, cfg.max_epochs, cfg.min_sse_delta
     runs = [None] * len(nets0)
     traces = [[] for _ in nets0]
+    initial = {}  # network -> the SSE of its initial state
     current = list(nets0)
     live = list(range(len(nets0)))
     epoch = 0
@@ -492,6 +473,8 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
             grad, step = block.grad.flat, np.empty_like(params.flat)
             finite = np.empty(params.flat.shape, dtype=bool)
             sse_prev = _sse_and_gradient(params, block)
+            for i, value in zip(live, sse_prev):
+                initial.setdefault(i, value)  # a rebuilt block evaluates a later state
             block_traces = [traces[i] for i in live]
             left = {}  # block position -> (parameters it leaves with, SSE, diverged)
             while not left:
@@ -519,7 +502,8 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
                 if k in left:
                     state, value, diverged = left[k]
                     runs[i] = TrainRun(net=Mlp(nets0[i].arch, *state.layers(k)), sse=value,
-                                       sse_trace=np.array(traces[i]), diverged=diverged)
+                                       sse_trace=traces[i], diverged=diverged,
+                                       ran_away=not diverged and value > initial[i])
                 else:
                     current[i] = Mlp(nets0[i].arch, *params.layers(k))
             live = [i for i in live if runs[i] is None]
@@ -535,7 +519,9 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     overshoot oscillations are normal at workable learning rates, and only
     a vanishing improvement signals convergence. If any parameter or the
     SSE turns non-finite, the run aborts and returns the last finite state
-    with ``diverged`` set; the caller decides whether to discard it.
+    with ``diverged`` set. A run that stays finite but ends with a higher
+    SSE than its initial network had is returned with ``ran_away`` set.
+    The caller decides whether to discard either.
     """
     return _train_block([net0], data, cfg)[0]
 
@@ -543,20 +529,23 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
 def _best_restart(runs):
     """The winner of a restart search over ``runs``, listed by restart index.
 
-    Diverged runs are discarded; the winner is the minimum final SSE, ties
-    broken by lowest restart index. Returns a DivergenceError, unraised, if
-    every run diverged.
+    Diverged and runaway runs are discarded; the winner is the minimum
+    final SSE, ties broken by lowest restart index. Returns a
+    DivergenceError, unraised, if no run is left.
     """
     best: TrainRun | None = None
     best_index = -1
     for index, run in enumerate(runs):
-        if run.diverged:
+        if run.diverged or run.ran_away:
             continue
         if best is None or run.sse < best.sse:
             best = run
             best_index = index
     if best is None:
-        return DivergenceError(f"all {len(runs)} restarts diverged")
+        away = sum(run.ran_away for run in runs)
+        reason = (f"diverged or ran away ({away} ended above their initial SSE)" if away
+                  else "diverged")
+        return DivergenceError(f"all {len(runs)} restarts {reason}")
     return TrainResult(
         best_net=best.net,
         best_sse=best.sse,

@@ -5,21 +5,44 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ParseError
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+class _Record:
+    """Base of the frozen dataclasses that hold arrays.
+
+    A subclass names its array fields once, in ``_arrays``. Construction
+    stores a read-only float copy of each, so the record never shares
+    memory with its caller's arrays, and two records of one type are equal
+    when every field is, the arrays element by element. Records are not
+    hashable. A subclass's ``__post_init__`` calls this one first, then
+    checks its fields.
+    """
+
+    _arrays = ()
+
+    def __post_init__(self):
+        for name in self._arrays:
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if f.name in self._arrays else mine == theirs):
+                return False
+        return True
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(_Record):
     """Ordered real-valued observations, one calendar date per value.
 
     Dates are carried for reporting only; every algorithm in the package
@@ -29,10 +52,11 @@ class TimeSeries:
     dates: tuple
     values: np.ndarray
     name: str = "series"
+    _arrays = ("values",)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.ndim != 1:
             raise DataError("series values must be one-dimensional")
         if len(self.values) == 0:
@@ -48,18 +72,9 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dates == other.dates
-            and np.array_equal(self.values, other.values)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class WindowedDataset:
+class WindowedDataset(_Record):
     """Supervised patterns built by sliding a length-``window_len`` window.
 
     Pattern ``i`` (0-based) has input ``values[i : i + p]`` and target
@@ -69,10 +84,10 @@ class WindowedDataset:
     window_len: int
     inputs: np.ndarray
     targets: np.ndarray
+    _arrays = ("inputs", "targets")
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _frozen_array(self.inputs))
-        object.__setattr__(self, "targets", _frozen_array(self.targets))
+        super().__post_init__()
         if self.window_len < 1:
             raise DataError("window length must be positive")
         if self.inputs.ndim != 2 or self.inputs.shape[1] != self.window_len:
@@ -164,7 +179,7 @@ def parse_series(text, fmt: ColumnFormat = ColumnFormat(), name: str = "series")
 
     if not values:
         raise ParseError("empty input")
-    return TimeSeries(dates=tuple(dates), values=np.array(values), name=name)
+    return TimeSeries(dates=dates, values=values, name=name)
 
 
 def make_windows(series: TimeSeries, p: int) -> WindowedDataset:
@@ -178,8 +193,8 @@ def make_windows(series: TimeSeries, p: int) -> WindowedDataset:
     windows = np.lib.stride_tricks.sliding_window_view(series.values, p)
     return WindowedDataset(
         window_len=p,
-        inputs=windows[:-1].copy(),
-        targets=series.values[p:].copy(),
+        inputs=windows[:-1],
+        targets=series.values[p:],
     )
 
 

@@ -205,6 +205,19 @@ class TestGrid:
         assert code == EXIT_TRAINING
         assert "FAILED" in capsys.readouterr().err
 
+    def test_runaway_restarts_fail_every_cell(self, tmp_path, capsys):
+        # every restart of this grid ends finite, with SSEs up to about 1e30,
+        # but above the SSE of its initial network
+        path = tmp_path / "sine.csv"
+        assert main(["synth", "--kind", "sine", "--n", "160", "--seed", "5",
+                     "--out", str(path)]) == EXIT_OK
+        code = main(["grid", str(path), "--inputs", "1..4", "--hidden", "2,3,5", "--seed", "3",
+                     "--workers", "1", "--restarts", "3", "--max-epochs", "30",
+                     "--learning-rate", "0.05"])
+        assert code == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.count("FAILED: all 3 restarts diverged or ran away (3 ended above") == 12
+
     def test_progress_on_stderr_only(self, data_file, tmp_path, capsys):
         code = main(["grid", data_file, "--inputs", "1", "--hidden", "2",
                      "--seed", "1", "--workers", "1", *FAST])
@@ -287,6 +300,8 @@ class TestReport:
         # training values that TrainConfig rejects, as the CLI flags do
         ("header", "config.train_cfg.min_sse_delta", float("nan"), "in_sample"),
         ("header", "config.train_cfg.learning_rate", float("inf"), "in_sample"),
+        pytest.param("header", "config.train_cfg.learning_rate", 10**400, "in_sample",
+                     id="learning_rate-10**400"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
@@ -347,14 +362,16 @@ class TestReport:
         assert f"# {view}\n{view_out}" in grid_out
 
 
-# runaway: the report of `fxcast synth --kind sine --n 160 --seed 5`, then
-# `fxcast grid --inputs 1..4 --hidden 2,3,5 --seed 3 --restarts 3
-# --max-epochs 30 --learning-rate 0.05`, whose restarts run away to metrics
-# near 1e30. overflow: the same report with the in-sample MAPE of every p = 2
-# cell set to 1e308, so that the sum of that level's MAPEs overflows a float.
-# Each comes with the exact text of each view. Reading and rendering call no
-# BLAS and the averages are correctly rounded, so every platform must give
-# these bytes.
+# runaway: a report with metrics near 1e30, from `fxcast synth --kind sine
+# --n 160 --seed 5`, then `fxcast grid --inputs 1..4 --hidden 2,3,5 --seed 3
+# --restarts 3 --max-epochs 30 --learning-rate 0.05`. fxcast no longer
+# writes it: runaway restarts leave the restart search, and that grid fails
+# every cell (test_runaway_restarts_fail_every_cell). It stays as a
+# rendering fixture. overflow: the same report with
+# the in-sample MAPE of every p = 2 cell set to 1e308, so that the sum of
+# that level's MAPEs overflows a float. Each comes with the exact text of
+# each view. Reading and rendering call no BLAS and the averages are
+# correctly rounded, so every platform must give these bytes.
 GOLDEN = Path(__file__).parent / "data"
 # (report, view); the runaway report's cases keep the plain view as their id
 GOLDEN_CASES = [pytest.param(name, view, id=view if name == "runaway" else f"{name}-{view}")

@@ -23,10 +23,12 @@ from fxcast import (
     GridReport,
     HorizonSpec,
     MetricRow,
+    Mlp,
     ReportFormatError,
     ReportVersionError,
     TimeSeries,
     TrainConfig,
+    TrainResult,
     evaluate_cell,
     fit_scaler,
     forward,
@@ -46,7 +48,7 @@ from fxcast import (
 )
 from fxcast import experiment
 from fxcast.experiment import _chunk_schedule
-from fxcast.mlp import _BLOCK_BUDGET, _best_restart
+from fxcast.mlp import _BLOCK_BUDGET, _best_restart, _train_block
 
 from conftest import series_of, subprocess_env
 
@@ -487,34 +489,44 @@ class TestLevelBlocks:
         assert outcomes <= seen
 
 
-# restart SSEs grow to about 1e307 in 300 epochs on ar_split: at p = 4 the
-# winner of h = 2 stays finite but overflows the measures, and both restarts
-# of h = 3 diverge
+# restart SSEs grow to about 1e307 in 300 epochs on ar_split: at p = 4 one
+# restart of h = 2 diverges and the other stays finite but runs away, and
+# both restarts of h = 3 diverge
 WILD_TRAIN = TrainConfig(learning_rate=0.02, max_epochs=300, min_sse_delta=1e-3,
                          restarts=2, master_seed=11)
+RUNAWAY = "all 2 restarts diverged or ran away (1 ended above their initial SSE)"
 OVERFLOW = "in-sample forecasts overflow the rmse"
+
+
+def overflowing(arch):
+    """A search result whose finite network forecasts about 1e300, which
+    overflows every measure."""
+    h, p = arch.hidden_count, arch.input_count
+    net = Mlp(arch, np.zeros((h, p)), np.zeros(h), np.zeros(h), 1e300)
+    return TrainResult(best_net=net, best_sse=1.0, best_restart_index=0, epochs_run=1,
+                       sse_trace=[1.0])
 
 
 class TestRestartSearch:
     # train_multi_restart trains a cell's restarts in shared blocks; it must
-    # pick what _best_restart picks from one train call per restart
+    # pick what _best_restart picks from one train call per restart. Here
+    # every restart that does not diverge runs away, so none is picked
     @pytest.mark.parametrize("learning_rate, diverged", [(0.02, "some"), (0.03, "all")])
     def test_equals_one_train_per_restart(self, ar_split, learning_rate, diverged):
         cfg = dataclasses.replace(WILD_TRAIN, learning_rate=learning_rate, restarts=6)
         arch = Architecture(4, 2)
         _, data = experiment._scaled_windows(ar_split[0], 4, True)
         assert cfg.restarts * (arch.hidden_count + 1) * len(data.targets) <= _BLOCK_BUDGET
-        runs = [train(init_weights(arch, restart_seed(cfg.master_seed, 4, 2, k),
-                                   cfg.init_half_width), data, cfg)
-                for k in range(cfg.restarts)]
+        nets0 = [init_weights(arch, restart_seed(cfg.master_seed, 4, 2, k), cfg.init_half_width)
+                 for k in range(cfg.restarts)]
+        runs = [train(net0, data, cfg) for net0 in nets0]
+        assert _train_block(nets0, data, cfg) == runs
         count = sum(run.diverged for run in runs)
         assert count == cfg.restarts if diverged == "all" else 0 < count < cfg.restarts
+        assert all(run.ran_away != run.diverged for run in runs)
         want = _best_restart(runs)
-        if diverged == "all":
-            with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
-                train_multi_restart(arch, data, cfg)
-        else:
-            assert train_multi_restart(arch, data, cfg) == want
+        with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
+            train_multi_restart(arch, data, cfg)
 
 
 class TestCellSeconds:
@@ -552,13 +564,26 @@ class TestLevelScoring:
     # run_grid scores each input level's cells as one block; evaluate_cell
     # scores a level of one cell
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_winner_named_without_a_warning(self, ar_split):
+    def test_overflowing_winner_named_without_a_warning(self, ar_split, monkeypatch):
+        train_series, test_series = ar_split
+        grid = small_grid(input_levels=(4,), hidden_levels=(2,))
+        result = overflowing(Architecture(4, 2))
+        scaler, data = experiment._scaled_windows(train_series, 4, grid.scale)
+        items = experiment._score_level(train_series, test_series, grid, scaler, data, [result])
+        assert items == [CellFailure(p=4, h=2, error=OVERFLOW)]
+        monkeypatch.setattr(experiment, "train_multi_restart", lambda *_: result)
+        with pytest.raises(DataError, match=OVERFLOW):
+            evaluate_cell(train_series, test_series, 4, 2, grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_runaway_restarts_fail_their_cell(self, ar_split):
         train_series, test_series = ar_split
         grid = small_grid(input_levels=(4,), hidden_levels=(2, 3), train_cfg=WILD_TRAIN)
         report = run_grid(train_series, test_series, grid)
-        assert report.failures == (CellFailure(p=4, h=2, error=OVERFLOW),
+        assert report.cells == ()
+        assert report.failures == (CellFailure(p=4, h=2, error=RUNAWAY),
                                    CellFailure(p=4, h=3, error="all 2 restarts diverged"))
-        with pytest.raises(DataError, match=OVERFLOW):
+        with pytest.raises(DivergenceError, match=re.escape(RUNAWAY)):
             evaluate_cell(train_series, test_series, 4, 2, grid)
 
     @pytest.mark.filterwarnings("error")
@@ -574,9 +599,12 @@ class TestLevelScoring:
         train_multi_restart = experiment.train_multi_restart
 
         def per_width(arch, data, train_cfg):
-            # h = 2 and 3 end as at WILD_TRAIN, the others train normally
+            # h = 2 wins with forecasts that overflow, h = 3 ends as at
+            # WILD_TRAIN, and the others train normally
+            if arch.hidden_count == 2:
+                return overflowing(arch)
             return train_multi_restart(arch, data,
-                                       WILD_TRAIN if arch.hidden_count < 4 else train_cfg)
+                                       WILD_TRAIN if arch.hidden_count == 3 else train_cfg)
 
         monkeypatch.setattr(experiment, "train_multi_restart", per_width)
         scaler, data = experiment._scaled_windows(train_series, 4, grid.scale)

@@ -123,6 +123,12 @@ class TestInitWeights:
         ("init_half_width", float("inf")),
         ("init_half_width", float("nan")),
         ("init_half_width", 1e308),  # its draw range 2 * 1e308 overflows
+        # ints that compare below inf: one whose double does the same, and
+        # ones that have no float
+        pytest.param("init_half_width", 10**308, id="init_half_width-10**308"),
+        pytest.param("learning_rate", 10**400, id="learning_rate-10**400"),
+        pytest.param("min_sse_delta", 10**400, id="min_sse_delta-10**400"),
+        pytest.param("init_half_width", 10**400, id="init_half_width-10**400"),
     ])
     def test_nonfinite_values_rejected_by_config(self, field, value):
         with pytest.raises(DataError, match=field):
@@ -424,6 +430,23 @@ class TestTrainBlock:
             assert run.sse_trace.tobytes() == alone.sse_trace.tobytes()
             assert flatten_params(run.net).tobytes() == flatten_params(alone.net).tobytes()
 
+    def test_rebuild_keeps_the_initial_sse(self):
+        # A fits its targets exactly and meets the stop rule at epoch 1, so
+        # B goes on in a rebuilt block. B's SSE falls in epoch 1 and rises in
+        # epoch 2 to end below its initial SSE: B has not run away, though it
+        # ends above the SSE of the state the rebuilt block starts from
+        x = np.random.default_rng(183).uniform(0, 1, (5, 1))
+        a = init_weights(Architecture(1, 2), 183, 2.0)
+        b = init_weights(Architecture(1, 1), 184, 2.0)
+        data = WindowedDataset(1, x, predict(a, x))
+        cfg = TrainConfig(learning_rate=0.15, max_epochs=2, min_sse_delta=1e-300)
+        runs = fxcast.mlp._train_block([a, b], data, cfg)  # one block of two
+        assert runs == [train(a, data, cfg), train(b, data, cfg)]
+        assert runs[0].epochs_run == 1
+        first, last = runs[1].sse_trace
+        assert first < last < sse(b, data)
+        assert not runs[1].ran_away
+
     def test_window_mismatch(self):
         data = make_windows(series_of(np.linspace(0.1, 0.9, 12)), 2)
         nets0 = [init_weights(Architecture(2, 3), 1, 0.5), init_weights(Architecture(3, 3), 2, 0.5)]
@@ -535,6 +558,21 @@ class TestMultiRestart:
             # the first restart diverges with the best sse
             return [fxcast.mlp.TrainRun(net=net0, sse=0.1 if k == 0 else 1.0 + k,
                                         sse_trace=np.array([]), diverged=k == 0)
+                    for k, net0 in enumerate(nets0)]
+
+        monkeypatch.setattr(fxcast.mlp, "_train_block", fake_train_block)
+        result = train_multi_restart(arch, data, TrainConfig(restarts=3, master_seed=0))
+        assert result.best_restart_index == 1
+
+    def test_runaway_restarts_excluded(self, monkeypatch):
+        data = self.make_data()
+        arch = Architecture(2, 3)
+
+        def fake_train_block(nets0, _data, _cfg):
+            # the first restart runs away with the best sse
+            return [fxcast.mlp.TrainRun(net=net0, sse=0.1 if k == 0 else 1.0 + k,
+                                        sse_trace=np.array([]), diverged=False,
+                                        ran_away=k == 0)
                     for k, net0 in enumerate(nets0)]
 
         monkeypatch.setattr(fxcast.mlp, "_train_block", fake_train_block)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 
@@ -5,9 +6,17 @@ import numpy as np
 import pytest
 
 from fxcast import (
+    Architecture,
     ColumnFormat,
     DataError,
+    ForecastSet,
+    Gradient,
+    Mlp,
     ParseError,
+    TimeSeries,
+    TrainResult,
+    TrainRun,
+    WindowedDataset,
     fit_scaler,
     make_windows,
     parse_series,
@@ -97,6 +106,69 @@ class TestTimeSeriesInvariants:
         s = series_of([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+
+def _layers():
+    return dict(hidden_weights=np.array([[0.1, 0.2]]), hidden_biases=np.array([0.3]),
+                output_weights=np.array([0.4]), output_bias=0.5)
+
+
+def _net():
+    return Mlp(Architecture(2, 1), **_layers())
+
+
+_DAYS = [datetime.date(2000, 1, day) for day in (7, 14, 21, 28)]
+# each record that holds arrays: its constructor arguments, built afresh on
+# each call, and a new value for each field that can change alone
+RECORDS = {
+    "TimeSeries": (TimeSeries, lambda: dict(dates=_DAYS[:3], values=np.array([1.0, 2.0, 3.0]),
+                                            name="s"),
+                   dict(dates=_DAYS[1:], name="t")),
+    "WindowedDataset": (WindowedDataset,
+                        lambda: dict(window_len=2, inputs=np.array([[1.0, 2.0], [2.0, 3.0]]),
+                                     targets=np.array([3.0, 4.0])), {}),
+    "ForecastSet": (ForecastSet, lambda: dict(actual=np.array([1.0, 2.0]),
+                                              predicted=np.array([1.5, 2.5])), {}),
+    "Mlp": (Mlp, lambda: dict(arch=Architecture(2, 1), **_layers()), dict(output_bias=0.6)),
+    "Gradient": (Gradient, _layers, dict(output_bias=0.6)),
+    "TrainRun": (TrainRun, lambda: dict(net=_net(), sse=1.0, sse_trace=np.array([2.0, 1.0]),
+                                        diverged=False),
+                 dict(net=dataclasses.replace(_net(), output_bias=0.6), sse=1.5, diverged=True,
+                      ran_away=True)),
+    "TrainResult": (TrainResult,
+                    lambda: dict(best_net=_net(), best_sse=1.0, best_restart_index=0,
+                                 epochs_run=2, sse_trace=np.array([2.0, 1.0])),
+                    dict(best_net=dataclasses.replace(_net(), output_bias=0.6), best_sse=1.5,
+                         best_restart_index=1, epochs_run=3)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_frozen_and_compares_by_value(name):
+    cls, arguments, changes = RECORDS[name]
+    given = arguments()
+    record = cls(**given)
+    array_fields = [f.name for f in dataclasses.fields(cls) if f.type == "np.ndarray"]
+    assert array_fields
+    # the record holds read-only copies: mutating the input leaves it unchanged
+    for field in array_fields:
+        given[field].flat[0] += 1.0
+    assert record == cls(**arguments())
+    for field in array_fields:
+        with pytest.raises(ValueError):
+            getattr(record, field).flat[0] = 9.0
+    assert record == dataclasses.replace(record)
+    # one changed element of any array, or one changed scalar, breaks equality
+    for field in array_fields:
+        values = getattr(record, field).copy()
+        values.flat[-1] += 1.0
+        assert record != dataclasses.replace(record, **{field: values})
+    for field, value in changes.items():
+        assert record != dataclasses.replace(record, **{field: value})
+    assert (record == object()) is False
+    assert record != cls.__name__
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 class TestMakeWindows:
