@@ -22,7 +22,7 @@ class DataError(FxcastError, ValueError):
 
 
 class DivergenceError(FxcastError, RuntimeError):
-    """Every training restart diverged; there is no usable solution."""
+    """Every training restart diverged or ran away; there is no usable solution."""
 
 
 class ReportFormatError(FxcastError, ValueError):

@@ -212,7 +212,7 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     position t is always the p most recent actual observations (train tail,
     then preceding test actuals) — never the model's own forecasts. All
     metrics are computed in original units. Raises DivergenceError if every
-    restart diverged and DataError if the forecasts cannot be scored.
+    restart diverged or ran away and DataError if the forecasts cannot be scored.
     """
     started = time.perf_counter()
     scaler, data = _scaled_windows(train_series, p, cfg.scale)
@@ -312,7 +312,7 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     a serial sweep reports one input level at a time. With ``sink`` set, an
     interrupted sweep leaves a valid prefix.
 
-    Per-cell failures (e.g. every restart diverged) are recorded in the
+    Per-cell failures (e.g. every restart diverged or ran away) are recorded in the
     report instead of aborting the remaining cells.
     """
     if workers < 1:

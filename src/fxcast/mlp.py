@@ -576,7 +576,7 @@ def train_multi_restart(
 ) -> TrainResult:
     """Best of ``cfg.restarts`` independent trainings from seeded random
     inits, the restart search of ``_restart_searches`` for one architecture.
-    Raises DivergenceError if every restart diverged."""
+    Raises DivergenceError if every restart diverged or ran away."""
     [result] = _restart_searches([arch], data, cfg)
     if isinstance(result, DivergenceError):
         raise result

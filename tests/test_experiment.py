@@ -509,24 +509,33 @@ def overflowing(arch):
 
 class TestRestartSearch:
     # train_multi_restart trains a cell's restarts in shared blocks; it must
-    # pick what _best_restart picks from one train call per restart. Here
-    # every restart that does not diverge runs away, so none is picked
-    @pytest.mark.parametrize("learning_rate, diverged", [(0.02, "some"), (0.03, "all")])
-    def test_equals_one_train_per_restart(self, ar_split, learning_rate, diverged):
-        cfg = dataclasses.replace(WILD_TRAIN, learning_rate=learning_rate, restarts=6)
-        arch = Architecture(4, 2)
+    # pick what _best_restart picks from one train call per restart. At h = 6
+    # and a wide initial draw, two restarts run away by epoch 300 and diverge
+    # by epoch 400 while the other four stop early; at h = 2 every restart
+    # that does not diverge runs away, so none is picked
+    @pytest.mark.parametrize("h, changes, diverged, ran_away", [
+        (6, dict(learning_rate=0.008, init_half_width=20.0, max_epochs=400), 2, 0),
+        (6, dict(learning_rate=0.008, init_half_width=20.0, max_epochs=300), 0, 2),
+        (2, dict(learning_rate=0.02), 3, 3),
+        (2, dict(learning_rate=0.03), 6, 0),
+    ], ids=["wide-400", "wide-300", "0.02-some", "0.03-all"])
+    def test_equals_one_train_per_restart(self, ar_split, h, changes, diverged, ran_away):
+        cfg = dataclasses.replace(WILD_TRAIN, restarts=6, **changes)
+        arch = Architecture(4, h)
         _, data = experiment._scaled_windows(ar_split[0], 4, True)
         assert cfg.restarts * (arch.hidden_count + 1) * len(data.targets) <= _BLOCK_BUDGET
-        nets0 = [init_weights(arch, restart_seed(cfg.master_seed, 4, 2, k), cfg.init_half_width)
+        nets0 = [init_weights(arch, restart_seed(cfg.master_seed, 4, h, k), cfg.init_half_width)
                  for k in range(cfg.restarts)]
         runs = [train(net0, data, cfg) for net0 in nets0]
         assert _train_block(nets0, data, cfg) == runs
-        count = sum(run.diverged for run in runs)
-        assert count == cfg.restarts if diverged == "all" else 0 < count < cfg.restarts
-        assert all(run.ran_away != run.diverged for run in runs)
+        assert sum(run.diverged for run in runs) == diverged
+        assert sum(run.ran_away for run in runs) == ran_away
         want = _best_restart(runs)
-        with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
-            train_multi_restart(arch, data, cfg)
+        if diverged + ran_away < cfg.restarts:
+            assert train_multi_restart(arch, data, cfg) == want
+        else:
+            with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
+                train_multi_restart(arch, data, cfg)
 
 
 class TestCellSeconds:
