@@ -12,14 +12,10 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .errors import (
-    DataError,
-    DivergenceError,
-    ParseError,
-    ReportFormatError,
-)
+from .errors import DataError, DivergenceError, FxcastError
 from .experiment import (
     _SYNTH_KINDS,
     _VIEWS,
@@ -33,7 +29,6 @@ from .experiment import (
     run_grid,
     synthesize_series,
 )
-from .metrics import HorizonSpec
 from .mlp import TrainConfig, save_model
 from .series import ColumnFormat, parse_series, split_by_count
 
@@ -109,7 +104,10 @@ def _add_format_flags(cmd):
     cmd.add_argument("--value-col", type=int, default=1, help="value column index")
 
 
-def _add_split_flags(cmd):
+def _add_sweep_flags(cmd):
+    """The series file and the flags that ``_sweep`` reads."""
+    cmd.add_argument("data")
+    _add_format_flags(cmd)
     cmd.add_argument(
         "--train-len", type=_positive_int, default=None,
         help="training observations (default: everything before the test span)",
@@ -118,9 +116,6 @@ def _add_split_flags(cmd):
         "--test-len", type=_positive_int, default=DEFAULT_TEST_LEN,
         help=f"held-out observations at the end (default {DEFAULT_TEST_LEN})",
     )
-
-
-def _add_train_flags(cmd):
     cmd.add_argument("--restarts", type=_positive_int, default=TrainConfig.restarts,
                      help="independent trainings per cell (default %(default)s)")
     cmd.add_argument("--seed", type=int, default=None,
@@ -148,9 +143,11 @@ def _read_series(args):
         return parse_series(handle, fmt, name=path.stem)
 
 
-def _split(args, series):
-    test_len = args.test_len
-    train_len = args.train_len
+def _sweep(args, input_levels, hidden_levels):
+    """The train series, the test series and the GridConfig that the flags
+    of ``train`` or ``grid`` ask for, over the given levels."""
+    series = _read_series(args)
+    train_len, test_len = args.train_len, args.test_len
     if train_len is None:
         train_len = len(series) - test_len
         if train_len < 1:
@@ -158,11 +155,7 @@ def _split(args, series):
                 f"series of length {len(series)} leaves no training data "
                 f"before a {test_len}-point test span"
             )
-    return split_by_count(series, train_len, test_len)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
+    train_cfg = TrainConfig(
         learning_rate=args.learning_rate,
         max_epochs=args.max_epochs,
         min_sse_delta=args.min_sse_delta,
@@ -170,6 +163,8 @@ def _train_config(args) -> TrainConfig:
         init_half_width=args.init_half_width,
         master_seed=args.seed if args.seed is not None else _default_seed(),
     )
+    return (*split_by_count(series, train_len, test_len),
+            GridConfig(input_levels, hidden_levels, train_cfg, scale=not args.no_scale))
 
 
 def _print_metric_block(rows):
@@ -207,15 +202,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    series = _read_series(args)
-    train_series, test_series = _split(args, series)
-    cfg = GridConfig(
-        input_levels=(args.inputs,),
-        hidden_levels=(args.hidden,),
-        train_cfg=_train_config(args),
-        horizon_spec=HorizonSpec(),
-        scale=not args.no_scale,
-    )
+    train_series, test_series, cfg = _sweep(args, (args.inputs,), (args.hidden,))
     cell, net = evaluate_cell(train_series, test_series, args.inputs, args.hidden, cfg)
     rows = [("in-sample", "-", cell.in_sample)]
     rows += [("out-sample", label, row) for label, row in cell.out_sample]
@@ -230,15 +217,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    series = _read_series(args)
-    train_series, test_series = _split(args, series)
-    grid = GridConfig(
-        input_levels=args.inputs,
-        hidden_levels=args.hidden,
-        train_cfg=_train_config(args),
-        horizon_spec=HorizonSpec(),
-        scale=not args.no_scale,
-    )
+    train_series, test_series, grid = _sweep(args, args.inputs, args.hidden)
 
     def progress(done, total, item):
         if hasattr(item, "error"):
@@ -250,17 +229,11 @@ def cmd_grid(args) -> int:
             )
         print(line, file=sys.stderr)
 
-    sink = None
-    try:
-        if args.out:
-            sink = open(args.out, "w", encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as sink:
         report = run_grid(
             train_series, test_series, grid,
             workers=args.workers, sink=sink, progress=progress,
         )
-    finally:
-        if sink is not None:
-            sink.close()
 
     for index, view in enumerate(_VIEWS):
         if index:
@@ -308,19 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     train = commands.add_parser("train", help="train one architecture and report metrics")
-    train.add_argument("data")
     train.add_argument("--inputs", type=_positive_int, required=True,
                        help="input nodes (window length p)")
     train.add_argument("--hidden", type=_positive_int, required=True,
                        help="hidden nodes h")
     train.add_argument("--out", default=None, help="path for the serialized network")
-    _add_format_flags(train)
-    _add_split_flags(train)
-    _add_train_flags(train)
+    _add_sweep_flags(train)
     train.set_defaults(func=cmd_train)
 
     grid = commands.add_parser("grid", help="run the full architecture sweep")
-    grid.add_argument("data")
     grid.add_argument("--inputs", type=_levels, default=GridConfig.input_levels,
                       help="input-node levels, e.g. 1..10 (default)")
     grid.add_argument("--hidden", type=_levels, default=GridConfig.hidden_levels,
@@ -328,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                       help="worker processes (default: machine parallelism)")
     grid.add_argument("--out", default=None, help="report file (streamed incrementally)")
-    _add_format_flags(grid)
-    _add_split_flags(grid)
-    _add_train_flags(grid)
+    _add_sweep_flags(grid)
     grid.set_defaults(func=cmd_grid)
 
     report = commands.add_parser("report", help="render a saved report")
@@ -353,15 +320,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, DataError, ReportFormatError) as exc:
+    except (FxcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, DivergenceError):
+            return EXIT_TRAINING
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_DATA
 
 
 if __name__ == "__main__":

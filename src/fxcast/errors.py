@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the type checks that raise them."""
+"""Exception types shared across the package, the type checks that raise
+them, and the opener, JSON parse and tag check of model and report files."""
 
+import json
 import numbers
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class FxcastError(Exception):
@@ -56,3 +60,59 @@ def _number(value, what: str) -> float:
         return float(_typed(value, (int, float), what))
     except OverflowError:
         raise ReportFormatError(f"{what} is an integer too large for a float") from None
+
+
+@contextmanager
+def _opened(source, mode: str):
+    """``source`` as a text stream: a path (a str or a Path) opened as UTF-8
+    and closed on exit, or an open stream as it is."""
+    if isinstance(source, (str, Path)):
+        with open(source, mode, encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield source
+
+
+def _read_text(source, where: str) -> str:
+    with _opened(source, "r") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise _corrupt(where, f"not UTF-8 text: {exc}") from None
+
+
+# what building a record from parsed JSON raises on a bad value
+_BUILD_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _corrupt(where, exc) -> ReportFormatError:
+    """The one error for a model or report record that cannot be read or
+    built, "corrupt <where>: <exc>"; ``where`` is a text or, so that a text
+    is built only on error, the 1-based number of a report line."""
+    place = where if isinstance(where, str) else f"report line {where}"
+    return ReportFormatError(f"corrupt {place}: {exc}")
+
+
+def _json_object(text: str, where) -> dict:
+    """The JSON object that ``text`` holds, or ``_corrupt(where, ...)``."""
+    try:
+        obj = json.loads(text)
+    # ValueError includes an integer literal past int()'s digit limit,
+    # RecursionError a value nested past the decoder's depth limit
+    except (ValueError, RecursionError) as exc:
+        raise _corrupt(where, exc) from None
+    if not isinstance(obj, dict):
+        raise _corrupt(where, "not a record")
+    return obj
+
+
+def _check_tag(record: dict, fmt: str, version: int, what: str, **fixed):
+    """Check the format tag, version and ``fixed`` values of a file's record."""
+    if record.get("format") != fmt:
+        raise ReportFormatError(f"not a {what} file")
+    found = record.get("version")
+    if type(found) is not int or found != version:  # a true equals 1
+        raise ReportVersionError(f"unsupported {what} version {found!r}")
+    for key, value in fixed.items():
+        if record.get(key) != value:
+            raise ReportFormatError(f"unsupported {key} {record.get(key)!r}, expected {value!r}")

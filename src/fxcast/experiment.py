@@ -10,17 +10,21 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, product
 from operator import attrgetter, itemgetter
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    _BUILD_ERRORS,
     DataError,
     DivergenceError,
     ReportFormatError,
-    ReportVersionError,
+    _check_tag,
+    _corrupt,
     _integer,
+    _json_object,
     _number,
+    _opened,
+    _read_text,
     _typed,
 )
 from .metrics import (
@@ -453,18 +457,16 @@ class _ReportWriter:
 
 
 def save_report(report: GridReport, sink):
-    """Write a complete report in the streaming line format."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as handle:
-            save_report(report, handle)
-        return
-    writer = _ReportWriter(sink)
-    writer.header(report.config, report.series_name, report.train_len, report.test_len)
-    writer.random_walk(report.random_walk_rows)
-    for item in sorted(
-        list(report.cells) + list(report.failures), key=lambda r: (r.p, r.h)
-    ):
-        writer.record(item)
+    """Write a complete report in the streaming line format, to a path or a
+    text stream."""
+    with _opened(sink, "w") as handle:
+        writer = _ReportWriter(handle)
+        writer.header(report.config, report.series_name, report.train_len, report.test_len)
+        writer.random_walk(report.random_walk_rows)
+        for item in sorted(
+            list(report.cells) + list(report.failures), key=lambda r: (r.p, r.h)
+        ):
+            writer.record(item)
 
 
 def _read_report(source):
@@ -474,40 +476,17 @@ def _read_report(source):
     Returns ((config, series name, train_len, test_len), the random-walk
     rows or None if the file has none, [CellResult or CellFailure, in file
     order]). Raises ReportVersionError for an unsupported version tag and
-    ReportFormatError for a corrupt payload: a line that is not a record, a
-    header value not of its JSON type, a cell off the header's grid or
-    repeated, and metric rows whose horizon labels differ from the
-    header's. It does not check that the records cover the grid.
+    ReportFormatError, naming the header or the line, for a corrupt payload:
+    a line that is not a record, a header value not of its JSON type, a cell
+    off the header's grid or repeated, and metric rows whose horizon labels
+    differ from the header's. It does not check that the records cover the grid.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return _read_report(handle)
-
-    try:
-        text = source.read()
-    except UnicodeDecodeError as exc:
-        raise ReportFormatError(f"report is not UTF-8 text: {exc}") from None
+    text = _read_text(source, "report file")
     lines = [line for line in text.splitlines() if line and not line.isspace()]
     if not lines:
         raise ReportFormatError("empty report file")
-
-    def parse_line(index, text):
-        try:
-            obj = json.loads(text)
-        # ValueError includes an integer literal past int()'s digit limit,
-        # RecursionError a line nested past the decoder's depth limit
-        except (ValueError, RecursionError) as exc:
-            raise ReportFormatError(f"corrupt report line {index + 1}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ReportFormatError(f"corrupt report line {index + 1}: not a record")
-        return obj
-
-    header = parse_line(0, lines[0])
-    if header.get("format") != _REPORT_FORMAT:
-        raise ReportFormatError("not a grid report file")
-    version = header.get("version")
-    if type(version) is not int or version != _REPORT_VERSION:  # a true equals 1
-        raise ReportVersionError(f"unsupported report version {version!r}")
+    header = _json_object(lines[0], "report header")
+    _check_tag(header, _REPORT_FORMAT, _REPORT_VERSION, "grid report")
     try:
         config = _config_from_json(header["config"])
         if _typed(header["master_seed"], (int,), "master_seed") != config.train_cfg.master_seed:
@@ -518,8 +497,8 @@ def _read_report(source):
         test_len = _typed(header["test_len"], (int,), "test_len")
         if min(train_len, test_len) < 1:
             raise ReportFormatError(f"lengths {train_len}, {test_len} are not both positive")
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise ReportFormatError(f"corrupt report header: {exc}") from None
+    except _BUILD_ERRORS as exc:
+        raise _corrupt("report header", exc) from None
 
     grid = {(p, h) for p in config.input_levels for h in config.hidden_levels}
     labels = list(config.horizon_spec.labels)
@@ -544,8 +523,8 @@ def _read_report(source):
     rw_rows = None
     records = []
     seen = set()
-    for index, text in enumerate(lines[1:], start=1):
-        obj = parse_line(index, text)
+    for line, text in enumerate(lines[1:], start=2):
+        obj = _json_object(text, line)
         kind = obj.get("type")
         try:
             if kind == "random_walk":
@@ -563,22 +542,16 @@ def _read_report(source):
                 p, h = grid_key(obj)
                 records.append(CellFailure(p=p, h=h, error=_typed(obj["error"], (str,), "error")))
             else:
-                raise ReportFormatError(f"unknown record type {kind!r} on line {index + 1}")
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ReportFormatError):
-                raise
-            raise ReportFormatError(f"corrupt report line {index + 1}: {exc}") from None
+                raise ReportFormatError(f"unknown record type {kind!r}")
+        except _BUILD_ERRORS as exc:
+            raise _corrupt(line, exc) from None
     return (config, series_name, train_len, test_len), rw_rows, records
 
 
 def load_report(source) -> GridReport:
-    """Read a report written by save_report / run_grid.
-
-    Raises ReportVersionError for an unsupported version tag and
-    ReportFormatError for corrupt or truncated payloads, including a record
-    count short of the grid declared in the header, a cell off that grid, and
-    metric rows whose horizon labels differ from the header's.
-    """
+    """Read a report written by save_report / run_grid, from a path or a
+    text stream. Raises what ``_read_report`` raises, and ReportFormatError
+    for a report that lacks its random-walk record or a cell of its grid."""
     header, rw_rows, records = _read_report(source)
     if rw_rows is None:
         raise ReportFormatError("missing random_walk record (truncated file?)")

@@ -5,18 +5,22 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    _BUILD_ERRORS,
     DataError,
     DivergenceError,
-    ReportFormatError,
-    ReportVersionError,
+    _check_tag,
+    _corrupt,
     _integer,
+    _json_object,
     _number,
+    _opened,
+    _read_text,
     _typed,
 )
 from .series import WindowedDataset, _Record
@@ -107,18 +111,22 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # ints are stored as int, so numpy integers serialize; floats keep their bytes
+        # ints are stored as int and other numbers but a Python int or float
+        # as float, so numpy scalars serialize; Python numbers keep their bytes
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int:
-                object.__setattr__(self, f.name, _integer(value, f.name))
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                value = _integer(value, f.name)
+            elif type(value) is bool or not isinstance(value, numbers.Real):
                 raise DataError(f"{f.name} {value!r} is not a number")
             else:
                 try:
-                    float(value)  # what training computes with
+                    as_float = float(value)  # what training computes with
                 except OverflowError:
                     raise DataError(f"{f.name} is an integer too large for a float") from None
+                if type(value) not in (int, float):
+                    value = as_float
+            object.__setattr__(self, f.name, value)
         # written as comparisons, so that nan fails them
         if not 0.0 < self.learning_rate < math.inf:
             raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
@@ -590,7 +598,8 @@ _MODEL_ACTIVATIONS = {"hidden_activation": "sigmoid", "output_activation": "pure
 
 
 def save_model(net: Mlp, sink):
-    """Serialize a network as one JSON record, full decimal precision.
+    """Serialize a network as one JSON record, full decimal precision, to a
+    path or a text stream.
 
     Field order: architecture (p, h, activation kinds), then parameters as
     hidden_weights rows, hidden_biases, output_weights, output_bias.
@@ -606,46 +615,26 @@ def save_model(net: Mlp, sink):
         "output_weights": net.output_weights.tolist(),
         "output_bias": net.output_bias,
     }
-    text = json.dumps(record) + "\n"
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    with _opened(sink, "w") as handle:
+        handle.write(json.dumps(record) + "\n")
 
 
 def load_model(source) -> Mlp:
-    """Load a network saved by save_model."""
-    try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
-        record = json.loads(text)
-    # RecursionError: a value nested past the decoder's depth limit
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ReportFormatError(f"corrupt model file: {exc}") from None
-    if not isinstance(record, dict) or record.get("format") != _MODEL_FORMAT:
-        raise ReportFormatError("not a model file")
-    version = record.get("version")
-    if type(version) is not int or version != _MODEL_VERSION:  # a true equals 1
-        raise ReportVersionError(f"unsupported model version {version!r}")
-    for key, kind in _MODEL_ACTIVATIONS.items():
-        if record.get(key) != kind:
-            raise ReportFormatError(
-                f"unsupported {key} {record.get(key)!r}, expected {kind!r}"
-            )
+    """Load a network saved by save_model, from a path or a text stream."""
+    record = _json_object(_read_text(source, "model file"), "model file")
+    _check_tag(record, _MODEL_FORMAT, _MODEL_VERSION, "model", **_MODEL_ACTIVATIONS)
 
-    def numbers(values, what):
+    def floats(values, what):
         return [_number(v, what) for v in _typed(values, (list,), what)]
 
     try:
         rows = _typed(record["hidden_weights"], (list,), "hidden_weights")
         return Mlp(
             arch=Architecture(input_count=record["p"], hidden_count=record["h"]),
-            hidden_weights=[numbers(row, "hidden_weights") for row in rows],
-            hidden_biases=numbers(record["hidden_biases"], "hidden_biases"),
-            output_weights=numbers(record["output_weights"], "output_weights"),
+            hidden_weights=[floats(row, "hidden_weights") for row in rows],
+            hidden_biases=floats(record["hidden_biases"], "hidden_biases"),
+            output_weights=floats(record["output_weights"], "output_weights"),
             output_bias=_number(record["output_bias"], "output_bias"),
         )
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise ReportFormatError(f"corrupt model file: {exc}") from None
+    except _BUILD_ERRORS as exc:
+        raise _corrupt("model file", exc) from None

@@ -141,6 +141,14 @@ class TestTrain:
         assert "RW" in out
         assert "12m" in out
 
+    def test_every_restart_diverging_exits_training(self, data_file, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        code = main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
+                     "--learning-rate", "1e9", "--out", str(out)])
+        assert code == EXIT_TRAINING
+        assert capsys.readouterr().err == "error: all 2 restarts diverged\n"
+        assert not out.exists()
+
     def test_zero_inputs_usage_error(self, data_file):
         assert main(["train", data_file, "--inputs", "0", "--hidden", "2"]) == EXIT_USAGE
 

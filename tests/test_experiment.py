@@ -714,12 +714,10 @@ class TestReportPersistence:
         with pytest.raises(ReportFormatError):
             load_report(io.StringIO(""))
 
-    @pytest.mark.parametrize("record_type, edit, message", [
-        ("failure", lambda r: r.update(p=9), "off the header's grid"),
-        ("cell", lambda r: r["out_sample"].pop(), "horizon labels"),
-    ])
-    def test_records_inconsistent_with_header_rejected(self, ar_split, record_type,
-                                                       edit, message):
+    @staticmethod
+    def two_record_lines(ar_split) -> list:
+        """The lines of a report of a cell (1, 2) and a failure (2, 2): the
+        header, the random walk, the cell and the failure."""
         train_series, test_series = ar_split
         grid = small_grid(hidden_levels=(2,))
         rw_rows = random_walk_rows(train_series, test_series, grid.horizon_spec)
@@ -729,10 +727,43 @@ class TestReportPersistence:
         report = GridReport.build([cell], [failure], rw_rows, grid, "unit", 110, 10)
         buffer = io.StringIO()
         save_report(report, buffer)
-        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        return buffer.getvalue().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("record_type, edit, message", [
+        ("failure", lambda r: r.update(p=9), "off the header's grid"),
+        ("cell", lambda r: r["out_sample"].pop(), "horizon labels"),
+    ])
+    def test_records_inconsistent_with_header_rejected(self, ar_split, record_type,
+                                                       edit, message):
+        records = [json.loads(line) for line in self.two_record_lines(ar_split)]
         edit(next(r for r in records[1:] if r["type"] == record_type))
         text = "".join(json.dumps(r) + "\n" for r in records)
         with pytest.raises(ReportFormatError, match=message):
+            load_report(io.StringIO(text))
+
+    # each error names where it was found: the header or the 1-based line
+    @pytest.mark.parametrize("lines, message", [
+        pytest.param(lambda head, rw, cell, fail: [head, rw, cell, fail, cell],
+                     "corrupt report line 5: duplicate cell record (1, 2)", id="duplicate-cell"),
+        pytest.param(lambda head, rw, cell, fail: [head, rw, cell, fail, rw],
+                     "corrupt report line 5: duplicate random_walk record", id="second-rw"),
+        pytest.param(lambda head, rw, cell, fail:
+                     [head, rw, cell.replace('"type": "cell"', '"type": "cells"'), fail],
+                     "corrupt report line 3: unknown record type 'cells'", id="unknown-type"),
+        pytest.param(lambda head, rw, cell, fail: [head, rw, "[1, 2]\n", cell, fail],
+                     "corrupt report line 3: not a record", id="line-not-object"),
+        pytest.param(lambda head, rw, cell, fail: [head, cell, fail],
+                     "missing random_walk record", id="no-rw"),
+        pytest.param(lambda head, rw, cell, fail:
+                     [head.replace('"restarts": 2, ', ""), rw, cell, fail],
+                     "corrupt report header: train_cfg fields", id="train-cfg-field-missing"),
+        pytest.param(lambda head, rw, cell, fail:
+                     [head, rw, cell, fail.replace('"all 2 restarts diverged"', "null")],
+                     "corrupt report line 4: error None is not of type str", id="error-null"),
+    ])
+    def test_malformed_lines_rejected(self, ar_split, lines, message):
+        text = "".join(lines(*self.two_record_lines(ar_split)))
+        with pytest.raises(ReportFormatError, match=re.escape(message)):
             load_report(io.StringIO(text))
 
     def test_every_train_config_field_round_trips(self, ar_split, tmp_path):
@@ -756,6 +787,25 @@ class TestReportPersistence:
         cfg = TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2,
                           master_seed=np.int64(3))
         grid = small_grid(input_levels=np.arange(1, 3), hidden_levels=(2,), train_cfg=cfg)
+        buffer = io.StringIO()
+        report = run_grid(train_series, test_series, grid, sink=buffer)
+        buffer.seek(0)
+        loaded = load_report(buffer)
+        assert loaded.config == grid
+        assert loaded == report
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("learning_rate", np.float32(1e-3), id="float32"),
+        pytest.param("learning_rate", np.float16(1e-3), id="float16"),
+        pytest.param("init_half_width", np.int64(1), id="int64"),
+    ])
+    def test_numpy_scalars_in_float_fields_round_trip(self, ar_split, field, value):
+        # stored as a Python float, which json can write
+        cfg = TrainConfig(**{"learning_rate": 1e-3, "max_epochs": 30, "restarts": 2,
+                             field: value})
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == float(value)
+        train_series, test_series = ar_split
+        grid = small_grid(input_levels=(1,), hidden_levels=(2,), train_cfg=cfg)
         buffer = io.StringIO()
         report = run_grid(train_series, test_series, grid, sink=buffer)
         buffer.seek(0)

@@ -688,6 +688,13 @@ class TestModelSerialization:
         with pytest.raises(ReportFormatError, match="corrupt model file"):
             load_model(io.StringIO(text))
 
+    def test_integer_past_the_digit_limit(self):
+        # json.loads refuses integer literals of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        text = self.saved(init_weights(Architecture(1, 1), 0, 0.5))
+        with pytest.raises(ReportFormatError, match="corrupt model file"):
+            load_model(io.StringIO(text.replace('"p": 1', '"p": ' + "1" * 5000)))
+
     def test_other_activation_rejected(self):
         net = init_weights(Architecture(1, 1), 0, 0.5)
         buffer = io.StringIO()
