@@ -13,10 +13,12 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DataError, DivergenceError, FxcastError
 from .experiment import (
+    _SYNTH,
     _SYNTH_KINDS,
     _VIEWS,
     GridConfig,
@@ -88,10 +90,9 @@ def _levels(text: str) -> tuple:
     return tuple(values)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """The master seed: ``--seed``, else ``$FXCAST_SEED``, else 0."""
+    raw = os.environ.get(SEED_ENV_VAR, "0") if args.seed is None else args.seed
     try:
         return int(raw)
     except ValueError:
@@ -102,6 +103,16 @@ def _add_format_flags(cmd):
     cmd.add_argument("--delimiter", default=",", help="field delimiter (default ,)")
     cmd.add_argument("--date-col", type=int, default=0, help="date column index")
     cmd.add_argument("--value-col", type=int, default=1, help="value column index")
+
+
+# TrainConfig field: (parser, help) of the flag named after it
+_TRAIN_FLAGS = {
+    "learning_rate": (_positive_float, "gradient-descent step size"),
+    "max_epochs": (_positive_int, "epoch cap per restart"),
+    "min_sse_delta": (_nonnegative_float, "early-stop threshold on per-epoch SSE improvement"),
+    "restarts": (_positive_int, "independent trainings per cell (default %(default)s)"),
+    "init_half_width": (_positive_float, "uniform initialization half-width"),
+}
 
 
 def _add_sweep_flags(cmd):
@@ -116,28 +127,19 @@ def _add_sweep_flags(cmd):
         "--test-len", type=_positive_int, default=DEFAULT_TEST_LEN,
         help=f"held-out observations at the end (default {DEFAULT_TEST_LEN})",
     )
-    cmd.add_argument("--restarts", type=_positive_int, default=TrainConfig.restarts,
-                     help="independent trainings per cell (default %(default)s)")
     cmd.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    cmd.add_argument("--learning-rate", type=_positive_float,
-                     default=TrainConfig.learning_rate, help="gradient-descent step size")
-    cmd.add_argument("--max-epochs", type=_positive_int, default=TrainConfig.max_epochs,
-                     help="epoch cap per restart")
-    cmd.add_argument("--min-sse-delta", type=_nonnegative_float,
-                     default=TrainConfig.min_sse_delta,
-                     help="early-stop threshold on per-epoch SSE improvement")
-    cmd.add_argument("--init-half-width", type=_positive_float,
-                     default=TrainConfig.init_half_width,
-                     help="uniform initialization half-width")
+    for f in fields(TrainConfig):
+        if f.name != "master_seed":  # --seed or $FXCAST_SEED sets it
+            parse, text = _TRAIN_FLAGS[f.name]  # a KeyError for a field with no flag
+            cmd.add_argument("--" + f.name.replace("_", "-"), type=parse, default=f.default,
+                             help=text)
     cmd.add_argument("--no-scale", action="store_true",
                      help="skip [0,1] min-max scaling of the training data")
 
 
 def _read_series(args):
-    fmt = ColumnFormat(
-        delimiter=args.delimiter, date_col=args.date_col, value_col=args.value_col
-    )
+    fmt = ColumnFormat(**{f.name: getattr(args, f.name) for f in fields(ColumnFormat)})
     path = Path(args.data)
     with open(path, "r", encoding="utf-8") as handle:
         return parse_series(handle, fmt, name=path.stem)
@@ -155,14 +157,8 @@ def _sweep(args, input_levels, hidden_levels):
                 f"series of length {len(series)} leaves no training data "
                 f"before a {test_len}-point test span"
             )
-    train_cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        min_sse_delta=args.min_sse_delta,
-        restarts=args.restarts,
-        init_half_width=args.init_half_width,
-        master_seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    train_cfg = TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS},
+                            master_seed=_seed(args))
     return (*split_by_count(series, train_len, test_len),
             GridConfig(input_levels, hidden_levels, train_cfg, scale=not args.no_scale))
 
@@ -186,13 +182,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    params = {
-        name: getattr(args, name)
-        for name in ("r", "x0", "phi", "sigma", "y0", "omega")
-        if getattr(args, name) is not None
-    }
-    series = synthesize_series(args.kind, args.n, seed=seed, **params)
+    params = {name: getattr(args, name) for _, defaults in _SYNTH.values() for name in defaults
+              if getattr(args, name) is not None}
+    series = synthesize_series(args.kind, args.n, seed=_seed(args), **params)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("date,value\n")
         for day, value in zip(series.dates, series.values):
@@ -203,6 +195,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     train_series, test_series, cfg = _sweep(args, (args.inputs,), (args.hidden,))
+    if args.out:  # fail on an unwritable path before training, and leave no new file
+        existed = os.path.exists(args.out)
+        open(args.out, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(args.out)
     cell, net = evaluate_cell(train_series, test_series, args.inputs, args.hidden, cfg)
     rows = [("in-sample", "-", cell.in_sample)]
     rows += [("out-sample", label, row) for label, row in cell.out_sample]
@@ -271,12 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n", type=_positive_int, required=True,
                        help="number of observations")
     synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--r", type=float, default=None, help="logistic-map growth rate")
-    synth.add_argument("--x0", type=float, default=None, help="logistic-map start value")
-    synth.add_argument("--phi", type=float, default=None, help="AR(1) coefficient")
-    synth.add_argument("--sigma", type=float, default=None, help="AR(1) noise half-width")
-    synth.add_argument("--y0", type=float, default=None, help="AR(1) start value")
-    synth.add_argument("--omega", type=float, default=None, help="sine angular step")
+    for kind, (_, defaults) in _SYNTH.items():
+        for name, (default, text) in defaults.items():
+            synth.add_argument(f"--{name}", type=float, help=f"{kind}: {text} (default {default})")
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=cmd_synth)
 

@@ -185,14 +185,15 @@ def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridCon
         return items
     nets = [results[j].best_net for j in live]
     combined = np.concatenate((train_series.values[-p:], test_series.values))
-    if scaler is not None:
-        combined = scaler.apply(combined)
-    test_inputs = np.lib.stride_tricks.sliding_window_view(combined, p)[: len(test_series)]
-    in_pred = _predict_block(nets, data.inputs)
-    out_pred = _predict_block(nets, test_inputs)
-    if scaler is not None:
-        # a huge but finite output may overflow here; the scoring names it
-        with np.errstate(over="ignore"):
+    # a test value far outside the training range, or a huge but finite
+    # output, may overflow a scaling; the scoring names the forecasts it spoils
+    with np.errstate(over="ignore"):
+        if scaler is not None:
+            combined = scaler.apply(combined)
+        test_inputs = np.lib.stride_tricks.sliding_window_view(combined, p)[: len(test_series)]
+        in_pred = _predict_block(nets, data.inputs)
+        out_pred = _predict_block(nets, test_inputs)
+        if scaler is not None:
             in_pred, out_pred = scaler.invert(in_pred), scaler.invert(out_pred)
     in_rows = _metric_rows(train_series.values[p:], in_pred, "in-sample forecasts")
     out_rows = _horizon_rows(test_series.values, out_pred, cfg.horizon_spec,
@@ -482,10 +483,11 @@ def _read_report(source):
     differ from the header's. It does not check that the records cover the grid.
     """
     text = _read_text(source, "report file")
-    lines = [line for line in text.splitlines() if line and not line.isspace()]
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
+             if line and not line.isspace()]  # numbered as in the file, blank lines too
     if not lines:
         raise ReportFormatError("empty report file")
-    header = _json_object(lines[0], "report header")
+    header = _json_object(lines[0][1], "report header")
     _check_tag(header, _REPORT_FORMAT, _REPORT_VERSION, "grid report")
     try:
         config = _config_from_json(header["config"])
@@ -523,7 +525,7 @@ def _read_report(source):
     rw_rows = None
     records = []
     seen = set()
-    for line, text in enumerate(lines[1:], start=2):
+    for line, text in lines[1:]:
         obj = _json_object(text, line)
         kind = obj.get("type")
         try:
@@ -666,42 +668,8 @@ def render_table(report: GridReport, which: str) -> str:
 # synthetic benchmark series
 # ---------------------------------------------------------------------------
 
-_SYNTH_KINDS = ("logistic_map", "noisy_ar1", "sine")
-
-
-def synthesize_series(kind: str, n: int, seed: int = 0, **params) -> TimeSeries:
-    """Generate a benchmark series with weekly dates from a fixed epoch.
-
-    Kinds and parameters:
-      logistic_map: x[t+1] = r * x[t] * (1 - x[t]); r=4.0, x0=0.3
-      noisy_ar1:    y[t+1] = phi * y[t] + e[t], e ~ uniform(-sigma, sigma);
-                    phi=0.8, sigma=0.1, y0=0.0 (the only kind that uses seed)
-      sine:         y[t] = sin(omega * t); omega=0.1
-    """
-    if n < 2:
-        raise DataError("synthetic series length must be at least 2")
-    if kind == "logistic_map":
-        values = _logistic_map(n, **params)
-    elif kind == "noisy_ar1":
-        values = _noisy_ar1(n, seed, **params)
-    elif kind == "sine":
-        values = _sine(n, **params)
-    else:
-        raise DataError(f"unknown series kind {kind!r}; expected one of {_SYNTH_KINDS}")
-    dates = tuple(_SYNTH_EPOCH + datetime.timedelta(weeks=i) for i in range(n))
-    return TimeSeries(dates=dates, values=values, name=kind)
-
-
-def _reject_unknown(kind, params, allowed):
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise DataError(f"invalid {kind} parameters: {sorted(unknown)}")
-
-
-def _logistic_map(n, **params):
-    _reject_unknown("logistic_map", params, ("r", "x0"))
-    r = float(params.get("r", 4.0))
-    x0 = float(params.get("x0", 0.3))
+def _logistic_map(n, seed, *, r, x0):
+    """x[t+1] = r * x[t] * (1 - x[t]), from x[0] = x0."""
     if r <= 0.0:
         raise DataError("logistic_map requires r > 0")
     if not 0.0 < x0 < 1.0:
@@ -713,11 +681,8 @@ def _logistic_map(n, **params):
     return values
 
 
-def _noisy_ar1(n, seed, **params):
-    _reject_unknown("noisy_ar1", params, ("phi", "sigma", "y0"))
-    phi = float(params.get("phi", 0.8))
-    sigma = float(params.get("sigma", 0.1))
-    y0 = float(params.get("y0", 0.0))
+def _noisy_ar1(n, seed, *, phi, sigma, y0):
+    """y[t+1] = phi * y[t] + e[t], e ~ uniform(-sigma, sigma), from y[0] = y0."""
     # the noise is drawn from a range 2 * sigma wide
     if not 0.0 <= 2.0 * sigma < np.inf:
         raise DataError("noisy_ar1 requires 0 <= 2 * sigma < inf")
@@ -730,7 +695,38 @@ def _noisy_ar1(n, seed, **params):
     return values
 
 
-def _sine(n, **params):
-    _reject_unknown("sine", params, ("omega",))
-    omega = float(params.get("omega", 0.1))
+def _sine(n, seed, *, omega):
+    """y[t] = sin(omega * t)."""
     return np.sin(omega * np.arange(n, dtype=float))
+
+
+# kind: (generator, {parameter: (default, description)}); the one place
+# where a kind and its parameters are declared
+_SYNTH = {
+    "logistic_map": (_logistic_map, {"r": (4.0, "growth rate"), "x0": (0.3, "start value")}),
+    "noisy_ar1": (_noisy_ar1, {"phi": (0.8, "AR(1) coefficient"),
+                               "sigma": (0.1, "noise half-width"),
+                               "y0": (0.0, "start value")}),
+    "sine": (_sine, {"omega": (0.1, "angular step")}),
+}
+_SYNTH_KINDS = tuple(_SYNTH)
+
+
+def synthesize_series(kind: str, n: int, seed: int = 0, **params) -> TimeSeries:
+    """A benchmark series of ``kind`` with weekly dates from a fixed epoch.
+    ``_SYNTH`` gives each kind's parameters and defaults; given values go
+    through ``float()``. Only ``noisy_ar1`` uses ``seed``. Values that
+    overflow are a DataError, with no numpy warning."""
+    if n < 2:
+        raise DataError("synthetic series length must be at least 2")
+    if kind not in _SYNTH:
+        raise DataError(f"unknown series kind {kind!r}; expected one of {_SYNTH_KINDS}")
+    generate, defaults = _SYNTH[kind]
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise DataError(f"invalid {kind} parameters: {sorted(unknown)}")
+    params = {name: float(params.get(name, default)) for name, (default, _) in defaults.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = generate(n, seed, **params)
+    dates = tuple(_SYNTH_EPOCH + datetime.timedelta(weeks=i) for i in range(n))
+    return TimeSeries(dates=dates, values=values, name=kind)

@@ -229,8 +229,10 @@ class Scaler:
     max: float
 
     def __post_init__(self):
-        if not (self.max > self.min):
-            raise DataError("scaler requires max > min (constant series?)")
+        # float(), so that a numpy scalar's overflow gives inf without a warning
+        if not 0.0 < float(self.max) - float(self.min) < np.inf:
+            raise DataError(f"cannot scale the range [{self.min!r}, {self.max!r}]: "
+                            "max - min must be positive and finite")
 
     def apply(self, x):
         return (x - self.min) / (self.max - self.min)
@@ -241,8 +243,4 @@ class Scaler:
 
 def fit_scaler(train: TimeSeries) -> Scaler:
     """Fit a [0, 1] min-max scaler to the training series."""
-    lo = float(train.values.min())
-    hi = float(train.values.max())
-    if lo == hi:
-        raise DataError("cannot scale a constant series")
-    return Scaler(min=lo, max=hi)
+    return Scaler(min=float(train.values.min()), max=float(train.values.max()))

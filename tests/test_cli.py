@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,16 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from fxcast import load_model, load_report, synthesize_series
+from fxcast import TrainConfig, cli, load_model, load_report, synthesize_series
 from fxcast.cli import (
     EXIT_DATA,
     EXIT_IO,
     EXIT_OK,
     EXIT_TRAINING,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from fxcast.experiment import _VIEWS
+from fxcast.experiment import _SYNTH, _VIEWS
 
 from conftest import subprocess_env
 
@@ -117,6 +119,38 @@ class TestSynth:
         assert main(["synth", "--kind", "sine", "--n", "0",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("params", [
+        ["--kind", "noisy_ar1", "--phi", "10", "--y0", "1e308"],
+        ["--kind", "logistic_map", "--r", "1e308"],
+        ["--kind", "sine", "--omega", "1e308"],
+    ])
+    def test_overflow_is_a_data_error(self, tmp_path, params, capsys):
+        # pytest's filter makes a numpy RuntimeWarning an error, so a warning
+        # before the typed error would end in a traceback here
+        out = tmp_path / "x.csv"
+        assert main(["synth", *params, "--n", "50", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: series contains non-finite values\n"
+        assert not out.exists()
+
+    def test_parameter_of_another_kind_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--kind", "sine", "--n", "10", "--r", "4",
+                     "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: invalid sine parameters: ['r']\n"
+
+    def test_every_kind_and_parameter_has_a_flag(self, tmp_path, capsys):
+        # each flag passes its value by name: a kind's parameters, given at
+        # their defaults, give the series of the defaults
+        for kind, (_, defaults) in _SYNTH.items():
+            paths = tmp_path / f"{kind}.csv", tmp_path / f"{kind}-flags.csv"
+            flags = [arg for name, (default, _) in defaults.items()
+                     for arg in (f"--{name}", repr(default))]
+            for path, given in zip(paths, ([], flags)):
+                assert main(["synth", "--kind", kind, "--n", "30", "--seed", "2",
+                             *given, "--out", str(path)]) == EXIT_OK
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        capsys.readouterr()
+
 
 class TestTrain:
     def test_deterministic_output_and_model(self, data_file, tmp_path, capsys):
@@ -149,6 +183,38 @@ class TestTrain:
         assert capsys.readouterr().err == "error: all 2 restarts diverged\n"
         assert not out.exists()
 
+    def test_failed_run_leaves_existing_model_file(self, data_file, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        out.write_text("an older model\n")
+        code = main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
+                     "--learning-rate", "1e9", "--out", str(out)])
+        assert code == EXIT_TRAINING
+        assert out.read_text() == "an older model\n"
+        assert main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
+                     "--out", str(out)]) == EXIT_OK
+        assert load_model(out).arch.hidden_count == 2
+
+    def test_unwritable_out_fails_before_training(self, data_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "model.json"
+        code = main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("command, code", [("train", EXIT_DATA), ("grid", EXIT_TRAINING)])
+    def test_training_range_past_a_float(self, tmp_path, command, code, capsys):
+        # the training span's max - min overflows a float; the last training
+        # value and the test span are small, so the random walk scores
+        path = tmp_path / "huge.csv"
+        values = [-1e308, 1e308, -1e308, 1e308, 0.1, 0.2] + [0.5] * 52
+        path.write_text("".join(f"{2000 + i}-01-01,{v!r}\n" for i, v in enumerate(values)))
+        argv = [command, str(path), "--inputs", "1", "--hidden", "2", *FAST]
+        assert main(argv + (["--workers", "1"] if command == "grid" else [])) == code
+        message = "cannot scale the range [-1e+308, 1e+308]: max - min must be positive and finite"
+        assert message in capsys.readouterr().err
+
     def test_zero_inputs_usage_error(self, data_file):
         assert main(["train", data_file, "--inputs", "0", "--hidden", "2"]) == EXIT_USAGE
 
@@ -162,6 +228,19 @@ class TestTrain:
                      "--restarts", "1", "--max-epochs", "5", "--test-len", "10"])
         assert code == EXIT_DATA
         assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["grid", "train"])
+def test_every_training_field_has_its_flag(command, monkeypatch):
+    # a flag named after each TrainConfig field but master_seed (--seed),
+    # with the field's default; a field with no flag fails the parser's build
+    args = build_parser().parse_args([command, "x.csv", "--inputs", "1", "--hidden", "1"])
+    for field in dataclasses.fields(TrainConfig):
+        if field.name != "master_seed":
+            assert getattr(args, field.name) == field.default
+    monkeypatch.delitem(cli._TRAIN_FLAGS, "restarts")
+    with pytest.raises(KeyError, match="restarts"):
+        build_parser()
 
 
 @pytest.mark.parametrize("command", ["grid", "train"])
@@ -225,6 +304,25 @@ class TestGrid:
         assert code == EXIT_TRAINING
         err = capsys.readouterr().err
         assert err.count("FAILED: all 3 restarts diverged or ran away (3 ended above") == 12
+
+    def test_unscaled_sweep(self, data_file, tmp_path, capsys):
+        # --no-scale gives one report and one stdout at any worker count, the
+        # header records it, and every view of the report renders
+        argv = ["grid", data_file, "--inputs", "1..2", "--hidden", "2,3", "--seed", "1",
+                "--no-scale", *FAST]
+        files, outs = [], []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.fxr"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == EXIT_OK
+            files.append(out.read_bytes())
+            outs.append(capsys.readouterr().out)
+        assert files[0] == files[1] and outs[0] == outs[1]
+        assert json.loads(files[0].splitlines()[0])["config"]["scale"] is False
+        report = load_report(tmp_path / "w1.fxr")
+        assert report.config.scale is False and len(report.cells) == 4
+        for view in _VIEWS:
+            assert main(["report", str(tmp_path / "w1.fxr"), "--view", view]) == EXIT_OK
+            assert f"# {view}\n{capsys.readouterr().out}" in outs[0]
 
     def test_progress_on_stderr_only(self, data_file, tmp_path, capsys):
         code = main(["grid", data_file, "--inputs", "1", "--hidden", "2",

@@ -206,12 +206,13 @@ class TestRunCell:
         assert via_scaled_series == cell
 
     def test_in_sample_covers_n_minus_p_patterns(self, ar_split):
-        # with scaling disabled and a network stub this is exact; here just
-        # check the metrics are finite and reproducible across p
+        # without scaling the training SSE is in the metrics' units, so the
+        # in-sample RMSE is that of the best network over all N - p patterns
         train_series, test_series = ar_split
         for p in (1, 3):
-            cell = evaluate_cell(train_series, test_series, p, 2, small_grid())[0]
-            assert cell.in_sample.rmse >= 0.0
+            cell = evaluate_cell(train_series, test_series, p, 2, small_grid(scale=False))[0]
+            expected = math.sqrt(cell.best_sse / (len(train_series) - p))
+            assert cell.in_sample.rmse == pytest.approx(expected, rel=1e-12)
 
 
 class TestRunGrid:
@@ -236,6 +237,14 @@ class TestRunGrid:
             for p, group in zip(grid.input_levels, groups):
                 assert float(rows[str(p)][1]) == mean([dict(c.out_sample)[label].mae
                                                        for c in group])
+
+    def test_unscaled_cells_equal_evaluate_cell(self, ar_split):
+        train_series, test_series = ar_split
+        grid = small_grid(scale=False)
+        report = run_grid(train_series, test_series, grid)
+        assert len(report.cells) == grid.cell_count
+        for cell in report.cells:
+            assert evaluate_cell(train_series, test_series, cell.p, cell.h, grid)[0] == cell
 
     def test_average_is_correctly_rounded(self):
         # the builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12;
@@ -752,6 +761,12 @@ class TestReportPersistence:
                      "corrupt report line 3: unknown record type 'cells'", id="unknown-type"),
         pytest.param(lambda head, rw, cell, fail: [head, rw, "[1, 2]\n", cell, fail],
                      "corrupt report line 3: not a record", id="line-not-object"),
+        # a line number counts every line of the file, blank ones too
+        pytest.param(lambda head, rw, cell, fail:
+                     [head, "\n", rw, cell.replace('"type": "cell"', '"type": "cellx"'), fail],
+                     "corrupt report line 4: unknown record type 'cellx'", id="after-blank-line"),
+        pytest.param(lambda head, rw, cell, fail: ["\n", head, rw, " \t\n", "[]\n", cell, fail],
+                     "corrupt report line 5: not a record", id="after-blank-lines"),
         pytest.param(lambda head, rw, cell, fail: [head, cell, fail],
                      "missing random_walk record", id="no-rw"),
         pytest.param(lambda head, rw, cell, fail:

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fxcast import (
     Gradient,
     Mlp,
     ParseError,
+    Scaler,
     TimeSeries,
     TrainResult,
     TrainRun,
@@ -246,6 +248,15 @@ class TestScaler:
     def test_constant_series_rejected(self):
         with pytest.raises(DataError):
             fit_scaler(series_of([45.0, 45.0]))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-1e308, 1e308),  # max - min overflows a float
+        (np.float64(-1e308), np.float64(1e308)),  # and so, with no numpy warning, here
+        (0.0, float("nan")),
+    ])
+    def test_range_must_be_positive_and_finite(self, lo, hi):
+        with pytest.raises(DataError, match=re.escape(f"cannot scale the range [{lo!r}, {hi!r}]")):
+            Scaler(min=lo, max=hi)
 
     def test_no_clamping_out_of_range(self):
         scaler = fit_scaler(series_of([0.0, 10.0]))
