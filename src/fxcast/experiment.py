@@ -233,7 +233,7 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
                      spec: HorizonSpec) -> tuple:
     """Per-horizon metric rows for the naive random-walk benchmark."""
     fs = random_walk(float(train_series.values[-1]), test_series.values)
-    return evaluate_horizons(fs, spec)
+    return evaluate_horizons(fs, spec, "random-walk forecasts")
 
 
 def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
@@ -279,18 +279,21 @@ def _chunk_schedule(grid: GridConfig, workers: int) -> list:
     """The tasks of a sweep on a pool of ``workers``, in (p, h) order: each
     a (p, widths) piece of one input level.
 
-    Each piece takes 1/(16 * workers) of the cells not yet scheduled, at
-    least one, but ends at the end of its level, so piece sizes shrink
-    towards single cells at the end and the workers finish close together.
-    A grid of fewer than 32 * workers cells gets one cell per piece.
+    A piece takes 1/workers of the cells scheduled before it or of the
+    cells left, whichever is fewer, at least one, but ends at the end of
+    its level. So the first pieces are single cells that double in size
+    (a failing sink, callback or worker stops the sweep after a few cells),
+    the middle of a large grid runs as whole input levels, whose cells
+    share their windows and scoring in one task, and the last pieces shrink
+    back to single cells, so the workers finish close together.
     """
-    tasks, left = [], grid.cell_count
+    tasks, done = [], 0
     for p in grid.input_levels:
         widths = grid.hidden_levels
         while widths:
-            size = min(len(widths), max(1, left // (16 * workers)))
+            size = min(len(widths), max(1, min(done, grid.cell_count - done) // workers))
             tasks.append((p, widths[:size]))
-            widths, left = widths[size:], left - size
+            widths, done = widths[size:], done + size
     return tasks
 
 
@@ -300,17 +303,19 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
 
     The grid runs as tasks, each a (p, widths) piece of one input level
     that ``_level_cells`` runs: serially one task per whole level, or, when
-    ``workers`` > 1, the tasks of ``_chunk_schedule`` on a process pool of
-    at most one process per task. The sweep inputs (both series and the
-    grid) go to each worker once, when it starts, and each task carries
-    only its (p, widths) pair. Within a task the cells share one scaled set
-    of windows, the restarts of all widths train together, and the winners
-    are scored together; a cell's ``train_seconds`` is its share, by hidden
-    rows (h + 1), of the task's wall time. Blocking only saves numpy calls:
-    every network gets the bits that ``train`` gives it alone, every cell
-    the metrics that scoring it alone gives, and restart seeds depend only
-    on (master_seed, p, h, restart), so the output is identical at any
-    worker count and equals ``evaluate_cell`` cell by cell.
+    ``workers`` > 1, the tasks of ``_chunk_schedule`` (single cells that
+    grow to whole levels, then shrink back to single cells at the end of
+    the grid) on a process pool of at most one process per task. The sweep
+    inputs (both series and the grid) go to each worker once, when it
+    starts, and each task carries only its (p, widths) pair. Within a task
+    the cells share one scaled set of windows, the restarts of all widths
+    train together, and the winners are scored together; a cell's
+    ``train_seconds`` is its share, by hidden rows (h + 1), of the task's
+    wall time. Blocking only saves numpy calls: every network gets the bits
+    that ``train`` gives it alone, every cell the metrics that scoring it
+    alone gives, and restart seeds depend only on (master_seed, p, h,
+    restart), so the output is identical at any worker count and equals
+    ``evaluate_cell`` cell by cell.
 
     Results are read back in (p, h) order: a cell's record goes to ``sink``
     and ``progress`` once its task and every task before it are done, so

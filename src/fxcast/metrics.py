@@ -193,9 +193,11 @@ def random_walk(history_last: float, test) -> ForecastSet:
     return ForecastSet(actual=test, predicted=predicted)
 
 
-def evaluate_horizons(fs: ForecastSet, spec: HorizonSpec = HorizonSpec()):
-    """Metric rows over each horizon prefix of the forecast stream."""
-    [rows] = _horizon_rows(fs.actual, fs.predicted[None], spec)
+def evaluate_horizons(fs: ForecastSet, spec: HorizonSpec = HorizonSpec(),
+                      what: str = "forecasts"):
+    """Metric rows over each horizon prefix of the forecast stream; the
+    DataError of a check it fails names the forecasts as ``what``."""
+    [rows] = _horizon_rows(fs.actual, fs.predicted[None], spec, what)
     if isinstance(rows, str):
         raise DataError(rows)
     return rows

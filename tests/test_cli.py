@@ -292,6 +292,18 @@ class TestGrid:
         assert code == EXIT_TRAINING
         assert "FAILED" in capsys.readouterr().err
 
+    def test_random_walk_overflow_names_the_random_walk(self, tmp_path, capsys):
+        # the last training value is huge against the test span, so the
+        # random walk's first forecast overflows the rmse before any cell runs
+        path = tmp_path / "huge.csv"
+        values = [1e308, -1e308] * 4 + [0.5] * 52
+        path.write_text("".join(f"{2000 + i}-01-01,{v!r}\n" for i, v in enumerate(values)))
+        assert main(["grid", str(path), "--inputs", "1", "--hidden", "1",
+                     "--workers", "1", *FAST]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random-walk forecasts over 1m overflow the rmse\n"
+
     def test_runaway_restarts_fail_every_cell(self, tmp_path, capsys):
         # every restart of this grid ends finite, with SSEs up to about 1e30,
         # but above the SSE of its initial network

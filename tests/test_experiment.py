@@ -389,15 +389,17 @@ class TestRunGrid:
         assert seen == [(done, len(order), cell) for done, cell in enumerate(order, start=1)]
 
     def test_chunked_pool_stops_promptly_on_sink_error(self, ar_split):
-        # 100 cells on 2 workers run as pieces of up to 3 cells: a sink that
-        # fails on the first cell must stop the sweep after the pieces
+        # 100 cells on 2 workers open with single cells that grow into
+        # pieces of several: a sink that fails on the first record of the
+        # first multi-cell piece must stop the sweep after the pieces
         # already running, not after the ~50 cells per worker of the grid
         train_series, test_series = ar_split
         grid = small_grid(
             input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)),
             train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=300, restarts=2),
         )
-        assert len(_chunk_schedule(grid, 2)[0][1]) > 1
+        sizes = [len(widths) for _, widths in _chunk_schedule(grid, 2)]
+        fail_at = next(j for j, size in enumerate(sizes) if size > 1)  # single cells before it
         started = time.perf_counter()
         run_grid(train_series, test_series, grid, workers=2)
         whole = time.perf_counter() - started
@@ -406,15 +408,30 @@ class TestRunGrid:
             pass
 
         class FailingSink(io.StringIO):
+            cells = 0
+
             def write(self, text):
                 if '"type": "cell"' in text:
-                    raise Failing()
+                    if self.cells == fail_at:
+                        raise Failing()
+                    self.cells += 1
                 return super().write(text)
 
         started = time.perf_counter()
         with pytest.raises(Failing):
             run_grid(train_series, test_series, grid, workers=2, sink=FailingSink())
         assert time.perf_counter() - started < 0.5 * whole
+
+    def test_pool_splits_one_input_level(self, ar_split):
+        train_series, test_series = ar_split
+        grid = small_grid(input_levels=(3,), hidden_levels=tuple(range(2, 12)))
+        assert len(_chunk_schedule(grid, 3)) > 3
+        streamed = io.StringIO()
+        pooled = run_grid(train_series, test_series, grid, workers=3, sink=streamed)
+        assert pooled == run_grid(train_series, test_series, grid)
+        saved = io.StringIO()
+        save_report(pooled, saved)
+        assert streamed.getvalue() == saved.getvalue()
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_without_fork_matches_serial(self, tmp_path, method):
@@ -553,7 +570,7 @@ class TestCellSeconds:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_level_time_split_by_hidden_rows(self, ar_split, workers):
         train_series, test_series = ar_split
-        # 80 cells on 2 workers open with pieces of 2 cells
+        # 80 cells on 2 workers run in pieces of 1 to 20 cells
         grid = small_grid(input_levels=(1, 2, 3, 4), hidden_levels=tuple(range(1, 21)),
                           train_cfg=TrainConfig(max_epochs=5, restarts=1))
         if workers == 1:
@@ -645,7 +662,7 @@ class TestLevelScoring:
 
 
 @pytest.mark.parametrize("cells, workers", [
-    (1, 2), (40, 2), (63, 2), (64, 2), (100, 3), (1000, 2), (1000, 8), (5000, 2),
+    (1, 2), (30, 3), (40, 2), (63, 2), (64, 2), (100, 3), (1000, 2), (1000, 8), (5000, 2),
 ])
 def test_chunk_schedule(cells, workers):
     # the cells as one level per cell, as levels of 10 widths, and as one level
@@ -657,17 +674,27 @@ def test_chunk_schedule(cells, workers):
         tasks = _chunk_schedule(grid, workers)
         order = [(p, h) for p in grid.input_levels for h in grid.hidden_levels]
         assert [(p, h) for p, piece in tasks for h in piece] == order
-        # a piece takes its share of the cells left, or less where its level ends
-        left = cells
+        # a piece takes its share of the cells scheduled before it or of the
+        # cells left, whichever is fewer, or less where its level ends
+        done = 0
         for _, piece in tasks:
-            share = max(1, left // (16 * workers))
+            share = max(1, min(done, cells - done) // workers)
             assert len(piece) == share or (len(piece) < share and piece[-1] == widths)
-            left -= len(piece)
-        tail = min(cells, 16 * workers)
-        assert [len(piece) for _, piece in tasks[-tail:]] == [1] * tail
-        if cells < 32 * workers:
-            assert len(tasks) == cells
-        assert len(tasks) <= 16 * workers * (1 + math.log(cells)) + len(grid.input_levels)
+            done += len(piece)
+        assert len(tasks[0][1]) == len(tasks[-1][1]) == 1
+        if len(grid.input_levels) == 1 and cells > 1:
+            # one level still splits, so every worker gets work
+            assert len(tasks) > workers
+        assert len(tasks) <= len(grid.input_levels) + 2 * workers * (1 + math.log2(cells))
+
+
+def test_chunk_schedule_runs_whole_levels_between_growth_and_tail():
+    # the shape of the benchmark's wide grid: 40 input levels of 25 widths
+    grid = GridConfig(input_levels=range(1, 41), hidden_levels=range(1, 26))
+    tasks = _chunk_schedule(grid, 2)
+    for p in range(3, 40):
+        assert [widths for q, widths in tasks if q == p] == [grid.hidden_levels]
+    assert len(tasks) == 54
 
 
 class TestReportPersistence:
