@@ -44,7 +44,6 @@ from .mlp import (
     TrainConfig,
     TrainResult,
     TrainRun,
-    forward,
     gradient,
     init_weights,
     load_model,

@@ -28,17 +28,17 @@ from .series import WindowedDataset, _Record
 _SEED_MASK = (1 << 64) - 1
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the logistic function of ``z`` into ``out``, which may be ``z``.
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with its logistic function, in place.
 
     The exp overflows for very negative z, and 1/(1+inf) -> 0 is exactly the
     right limit; callers run this under ``np.errstate(over="ignore")``, which
     costs too much to enter per epoch.
     """
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -228,13 +228,13 @@ class _Block:
 
     Network k owns the rows [a_k, b_k] of one row space: its h_k hidden
     units, then at b_k the ones row that its output bias multiplies. The
-    hidden pre-activations and activations of every network sit in one
-    (rows, n) buffer each, so each pass of the sigmoid and of its slope is
-    one numpy call per block. The products that mix a network's rows run
-    network by network at the network's own (h_k, .) shape: one product
-    over several networks, or over a unit block that includes its ones
-    row, rounds differently, and a network must give in a block the bits it
-    gives alone.
+    hidden units of every network sit in one (rows, n) buffer, in which the
+    forward pass turns pre-activations into activations in place, so each
+    pass of the sigmoid and of its slope is one numpy call per block. The
+    products that mix a network's rows run network by network at the
+    network's own (h_k, .) shape: one product over several networks, or
+    over a unit block that includes its ones row, rounds differently, and a
+    network must give in a block the bits it gives alone.
 
     With ``targets`` the block also holds the training intermediates.
     Reallocating them every epoch costs ~3x the arithmetic itself (large
@@ -253,31 +253,19 @@ class _Block:
         self.inputs_t[:p] = inputs.T
         self.inputs_t[p] = 1.0
         self.hidden = _empty(self.rows, n)
-        self.hidden[-1] = 1.0
-        # The sigmoid maps every row of pre but the last to hidden; the last
-        # row is the last network's ones row. The other ones rows lie inside
-        # that range, so pre holds 100.0 there, which no product overwrites
-        # and whose sigmoid rounds to exactly 1.0 (exp(-100) is far below
-        # half an ulp of 1). A block of one has no such row and works in
-        # place.
+        self.hidden.fill(1.0)  # the ones rows; no sigmoid reads uninitialised memory
         self.active = self.hidden[:-1]
-        if len(self.spans) == 1:
-            self.pre, self.active_pre = self.hidden, self.active
-        else:
-            self.pre = _empty(self.rows, n)
-            self.active_pre = self.pre[:-1]
-            for _, ones in self.spans[:-1]:
-                self.pre[ones] = 100.0
-        self.pre_units = [self.pre[a:b] for a, b in self.spans]
+        # the ones rows that the sigmoid over ``active`` overwrites
+        self.ones = [self.hidden[b] for _, b in self.spans[:-1]]
+        self.units = [self.hidden[a:b] for a, b in self.spans]
         self.extended = [self.hidden[a:b + 1] for a, b in self.spans]
         self.out = _empty(len(self.spans), n)
         if targets is None:
             return
         # one copy per network keeps the subtraction free of broadcasting
         self.targets = np.tile(targets, (len(self.spans), 1))
-        self.delta = _empty(*self.out.shape)
-        self.delta_rows = self.delta[:, None, :]
-        self.delta_cols = self.delta[:, :, None]
+        self.delta_rows = self.out[:, None, :]
+        self.delta_cols = self.out[:, :, None]
         self.sse = np.empty(len(self.spans))
         self.sse_cells = self.sse[:, None, None]
         self.scaled = _empty(len(self.spans), p + 1, n)
@@ -285,7 +273,7 @@ class _Block:
         self.grad = _Params(self)
         # the backward pass's per-network operands and outputs
         self.grad_products = list(zip(
-            self.extended, self.delta, self.grad.w2s,
+            self.extended, self.out, self.grad.w2s,
             [self.slope[a:b] for a, b in self.spans], [x.T for x in self.scaled],
             self.grad.w1s))
 
@@ -332,7 +320,7 @@ class _Params:
         self.w1s = [self.w1[a:b] for a, b in block.spans]
         self.w2s = [self.w2[a:b + 1] for a, b in block.spans]
         # the forward pass's per-network (operand, output) pairs
-        self.hidden_products = list(zip(self.w1s, block.pre_units))
+        self.hidden_products = list(zip(self.w1s, block.units))
         self.output_products = list(zip(self.w2s, block.extended, block.out))
 
     def layers(self, k: int):
@@ -346,12 +334,16 @@ class _Params:
 def _forward(params: _Params, block: _Block) -> np.ndarray:
     """Outputs of every network of the block, one row per network.
 
+    The sigmoid runs in place over the hidden pre-activations, and over the
+    ones rows of all networks but the last, which are then set back to 1.0.
     Training and prediction share this one routine, so a trained network's
     SSE and the SSE recomputed from its predictions round identically.
     """
     for w1, units in params.hidden_products:
         np.dot(w1, block.inputs_t, out=units)
-    _sigmoid(block.active_pre, block.active)
+    _sigmoid(block.active)
+    for row in block.ones:
+        row.fill(1.0)
     for w2, hidden, out in params.output_products:
         np.dot(w2, hidden, out=out)
     return block.out
@@ -375,16 +367,6 @@ def predict(net: Mlp, inputs) -> np.ndarray:
     return _predict_block([net], inputs)[0]
 
 
-def forward(net: Mlp, input) -> float:
-    """Network output for a single input pattern of length p."""
-    x = np.asarray(input, dtype=float)
-    if x.shape != (net.arch.input_count,):
-        raise DataError(
-            f"input shape {x.shape} does not match ({net.arch.input_count},)"
-        )
-    return float(predict(net, x[None, :])[0])
-
-
 def sse(net: Mlp, data: WindowedDataset) -> float:
     """Sum of squared errors of the network over all patterns."""
     _check_window(net, data)
@@ -400,13 +382,14 @@ def _sse_and_gradient(params: _Params, block: _Block) -> list:
     The SSEs are one stacked (1, n) @ (n, 1) matmul, which rounds each as
     the dot product of a delta row with itself.
 
-    With d the output deltas and S the hidden slopes, the hidden-layer
-    gradient is w2_j * sum_n S[j, n] * d[n] * x[n]: d scales the (p + 1, n)
-    inputs rather than the (h, n) slopes, and w2 scales the (h, p + 1)
-    product, so no (h, n) outer product is formed.
+    With d the output deltas, written over the outputs in ``block.out``, and
+    S the hidden slopes, the hidden-layer gradient is
+    w2_j * sum_n S[j, n] * d[n] * x[n]: d scales the (p + 1, n) inputs
+    rather than the (h, n) slopes, and w2 scales the (h, p + 1) product, so
+    no (h, n) outer product is formed.
     """
-    out = _forward(params, block)
-    delta = np.subtract(out, block.targets, out=block.delta)
+    delta = _forward(params, block)
+    np.subtract(delta, block.targets, out=delta)
     np.matmul(block.delta_rows, block.delta_cols, out=block.sse_cells)
     delta *= 2.0  # the linear output's slope is 1
     np.multiply(block.inputs_t, block.delta_rows, out=block.scaled)
@@ -478,7 +461,6 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
                            data.targets)
             params = block.params([current[i] for i in live])
             trial = block.params()
-            grad, step = block.grad.flat, np.empty_like(params.flat)
             finite = np.empty(params.flat.shape, dtype=bool)
             sse_prev = _sse_and_gradient(params, block)
             for i, value in zip(live, sse_prev):
@@ -489,8 +471,8 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
                 if epoch == max_epochs:
                     left = {k: (params, sse_prev[k], False) for k in range(len(live))}
                     break
-                np.multiply(grad, lr, out=step)
-                np.subtract(params.flat, step, out=trial.flat)
+                np.multiply(block.grad.flat, lr, out=trial.flat)  # the step
+                np.subtract(params.flat, trial.flat, out=trial.flat)
                 if not np.isfinite(trial.flat, out=finite).all():
                     # the others redo this epoch in the rebuilt block
                     left = {k: (params, sse_prev[k], True) for k in block.nonfinite(finite)}
@@ -541,26 +523,17 @@ def _best_restart(runs):
     final SSE, ties broken by lowest restart index. Returns a
     DivergenceError, unraised, if no run is left.
     """
-    best: TrainRun | None = None
-    best_index = -1
-    for index, run in enumerate(runs):
-        if run.diverged or run.ran_away:
-            continue
-        if best is None or run.sse < best.sse:
-            best = run
-            best_index = index
-    if best is None:
+    kept = [(run.sse, index) for index, run in enumerate(runs)
+            if not (run.diverged or run.ran_away)]
+    if not kept:
         away = sum(run.ran_away for run in runs)
         reason = (f"diverged or ran away ({away} ended above their initial SSE)" if away
                   else "diverged")
         return DivergenceError(f"all {len(runs)} restarts {reason}")
-    return TrainResult(
-        best_net=best.net,
-        best_sse=best.sse,
-        best_restart_index=best_index,
-        epochs_run=best.epochs_run,
-        sse_trace=best.sse_trace,
-    )
+    _, index = min(kept)
+    best = runs[index]
+    return TrainResult(best_net=best.net, best_sse=best.sse, best_restart_index=index,
+                       epochs_run=best.epochs_run, sse_trace=best.sse_trace)
 
 
 def _restart_searches(archs, data: WindowedDataset, cfg: TrainConfig) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -117,7 +118,12 @@ class ColumnFormat:
 
 
 def _parse_date(field: str) -> datetime.date:
-    return datetime.date.fromisoformat(field.strip())
+    text = field.strip()
+    # YYYY-MM-DD only, where date.fromisoformat takes more forms from
+    # Python 3.11 on; it checks the digits
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(text)
+    return datetime.date.fromisoformat(text)
 
 
 def _parse_value(field: str, row: int) -> float:
@@ -136,19 +142,21 @@ def _parse_value(field: str, row: int) -> float:
 def parse_series(text, fmt: ColumnFormat = ColumnFormat(), name: str = "series") -> TimeSeries:
     """Parse delimiter-separated (date, value) rows into a TimeSeries.
 
-    ``text`` may be a string or a readable text stream. A single header row
-    is auto-detected when the first row's date field does not parse as an
-    ISO-8601 date. Rows must arrive in strictly increasing date order;
-    out-of-order input is an error, not a sort.
+    ``text`` may be a string or a readable text stream; a byte-order mark at
+    its start is dropped. A single header row is auto-detected when the
+    first row's date field is not a YYYY-MM-DD date. Rows must arrive in
+    strictly increasing date order; out-of-order input is an error, not a
+    sort.
     """
-    stream = io.StringIO(text) if isinstance(text, str) else text
-    reader = csv.reader(stream, delimiter=fmt.delimiter)
+    lines = iter(io.StringIO(text) if isinstance(text, str) else text)
     needed = max(fmt.date_col, fmt.value_col) + 1
 
     dates: list[datetime.date] = []
     values: list[float] = []
     seen_content = False
     try:
+        first = next(lines, "").removeprefix("\ufeff")
+        reader = csv.reader(itertools.chain([first], lines), delimiter=fmt.delimiter)
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not field.strip() for field in row):
                 continue

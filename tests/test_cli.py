@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fxcast import TrainConfig, cli, load_model, load_report, synthesize_series
+from fxcast import TrainConfig, cli, load_model, load_report, parse_series, synthesize_series
 from fxcast.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -64,6 +65,35 @@ class TestIngest:
         path = tmp_path / "semi.csv"
         path.write_text("2020-01-01;1.0\n2020-01-02;2.0\n")
         assert main(["ingest", str(path), "--delimiter", ";"]) == EXIT_OK
+
+    def test_byte_order_mark_before_the_first_row(self, tmp_path, capsys):
+        # a headerless file saved with a UTF-8 byte-order mark keeps its
+        # first row: the mark does not make that row's date a header's
+        text = "2000-01-07,1.0\n2000-01-14,2.0\n2000-01-21,3.0\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["ingest", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("3 observations, 2000-01-07..")
+        for source in ("\ufeff" + text, io.StringIO("\ufeff" + text)):
+            assert len(parse_series(source)) == 3
+
+    def test_byte_order_mark_before_a_header(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,value\n2000-01-07,1.0\n2000-01-14,2.0\n")
+        assert main(["ingest", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("2 observations, 2000-01-07..")
+
+    @pytest.mark.parametrize("first, second", [
+        ("20000107", "20000114"),
+        ("2000-W01-5", "2000-W02-5"),
+    ])
+    def test_only_year_month_day_dates(self, tmp_path, first, second, capsys):
+        # date.fromisoformat takes these forms from Python 3.11 on, and not
+        # on 3.10; the first row reads as a header, the second is an error
+        path = tmp_path / "dates.csv"
+        path.write_text(f"{first},1.0\n{second},2.0\n")
+        assert main(["ingest", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: row 2: malformed date '{second}'\n"
 
 
 class TestMalformedSeries:
@@ -217,6 +247,19 @@ class TestTrain:
 
     def test_zero_inputs_usage_error(self, data_file):
         assert main(["train", data_file, "--inputs", "0", "--hidden", "2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--restarts", "two", "'two' is not an integer"),
+        ("--inputs", "1..x", "bad range '1..x'"),
+        ("--inputs", "5..3", "empty range '5..3'"),
+        ("--inputs", "a", "bad level 'a'"),
+        ("--hidden", "3,2", "levels must be positive and strictly increasing"),
+    ])
+    def test_malformed_number_or_level_usage_error(self, data_file, flag, value, message,
+                                                   capsys):
+        argv = ["grid", data_file, "--workers", "1", *FAST, flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
     def test_train_len_exceeding_data(self, data_file, capsys):
         code = main(["train", data_file, "--inputs", "1", "--hidden", "2",

@@ -31,10 +31,10 @@ from fxcast import (
     TrainResult,
     evaluate_cell,
     fit_scaler,
-    forward,
     init_weights,
     load_report,
     make_windows,
+    predict,
     random_walk_rows,
     render_table,
     restart_seed,
@@ -159,7 +159,7 @@ class TestRunCell:
         from fxcast import fit_scaler
 
         scaler = fit_scaler(train_series)
-        expected = scaler.invert(forward(net, scaler.apply(train_series.values[-p:])))
+        expected = scaler.invert(predict(net, scaler.apply(train_series.values[-p:])[None])[0])
         assert dict(cell.out_sample)["1w"].rmse == pytest.approx(
             abs(test_series.values[0] - expected), rel=1e-9
         )
@@ -336,6 +336,12 @@ class TestRunGrid:
             progress=lambda done, total, item: seen.append((done, total)),
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+    def test_workers_must_be_positive(self, ar_split):
+        sink = io.StringIO()
+        with pytest.raises(DataError, match="workers must be at least 1"):
+            run_grid(*ar_split, small_grid(), workers=0, sink=sink)
+        assert sink.getvalue() == ""
 
     @pytest.mark.parametrize("hook", ["sink", "progress"])
     def test_pooled_sweep_stops_promptly_on_error(self, ar_split, hook):
@@ -865,19 +871,38 @@ class TestReportPersistence:
         assert load_report(buffer) == report
 
 
-# Each config class checks the types of its own fields, whether a config is
-# built in code or read from a report header.
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: TrainConfig(max_epochs=2.5), id="max_epochs-2.5"),
-    pytest.param(lambda: TrainConfig(restarts=1.5), id="restarts-1.5"),
-    pytest.param(lambda: TrainConfig(restarts=True), id="restarts-True"),
-    pytest.param(lambda: GridConfig(input_levels=(1.5, 2)), id="input_levels-1.5"),
-    pytest.param(lambda: GridConfig(scale="no"), id="scale-no"),
-    pytest.param(lambda: HorizonSpec((("a", 4.9),)), id="horizon-4.9"),
-    pytest.param(lambda: Architecture(True, 2), id="input_count-True"),
+# Each config class checks the types and values of its own fields, whether
+# a config is built in code or read from a report header.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: TrainConfig(max_epochs=2.5), "max_epochs 2.5 is not an integer",
+                 id="max_epochs-2.5"),
+    pytest.param(lambda: TrainConfig(restarts=1.5), "restarts 1.5 is not an integer",
+                 id="restarts-1.5"),
+    pytest.param(lambda: TrainConfig(restarts=True), "restarts True is not an integer",
+                 id="restarts-True"),
+    pytest.param(lambda: GridConfig(input_levels=(1.5, 2)), "input_levels 1.5 is not an integer",
+                 id="input_levels-1.5"),
+    pytest.param(lambda: GridConfig(scale="no"), "scale 'no' is not a bool", id="scale-no"),
+    pytest.param(lambda: HorizonSpec((("a", 4.9),)), "horizon length 4.9 is not an integer",
+                 id="horizon-4.9"),
+    pytest.param(lambda: Architecture(True, 2), "input_count True is not an integer",
+                 id="input_count-True"),
+    pytest.param(lambda: TrainConfig(learning_rate="0.1"), "learning_rate '0.1' is not a number",
+                 id="learning_rate-str"),
+    pytest.param(lambda: TrainConfig(max_epochs=0), "max_epochs must be at least 1",
+                 id="max_epochs-0"),
+    pytest.param(lambda: TrainConfig(restarts=0), "restarts must be at least 1", id="restarts-0"),
+    pytest.param(lambda: GridConfig(input_levels=()), "input_levels must be nonempty",
+                 id="input_levels-empty"),
+    pytest.param(lambda: GridConfig(hidden_levels=(0, 2)), "hidden_levels must be positive",
+                 id="hidden_levels-0"),
+    pytest.param(lambda: GridConfig(input_levels=(2, 2)),
+                 "input_levels must be strictly increasing", id="input_levels-repeated"),
+    pytest.param(lambda: GridConfig(hidden_levels=(3, 2)),
+                 "hidden_levels must be strictly increasing", id="hidden_levels-decreasing"),
 ])
-def test_config_types_checked_at_construction(build):
-    with pytest.raises(DataError):
+def test_config_types_checked_at_construction(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
         build()
 
 

@@ -5,9 +5,12 @@ exit 3 from the CLI (or 4 from a command that trains, when no network
 survives), or the exception itself from ``load_model``, which no command
 calls. Each target runs a fixed number of cases from a fixed seed, so a
 failure names its case and reproduces. Each case applies one mutation, and
-the mutations of a target take turns, so every kind runs on it.
+the mutations of a target take turns, so every kind runs on it. The long
+run, marked ``slow``, runs every target again with ten times the cases from
+seeds of its own.
 """
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -20,6 +23,7 @@ from fxcast.experiment import _VIEWS
 
 GOLDEN = Path(__file__).parent / "data"
 CASES = 200  # per target; a few seconds in all
+LONG_CASES = 2000  # per target in the long run; about a minute in all
 
 # JSON texts that replace one value; the nesting depth is far past the
 # decoder's recursion limit on every supported Python
@@ -27,6 +31,11 @@ DEPTH = 100_000
 VALUES = ["true", "null", "1.5", "-1", str(10**400), "1" * 5000, "1e999", "1e308", "-1e308",
           '""', "[]", "{}", "[" * DEPTH + "]" * DEPTH]
 SENTINEL = json.dumps("fuzz-sentinel")
+# byte strings that one mutation inserts at a random byte offset: a UTF-8
+# byte-order mark, a NUL, a lone carriage return, bytes that are not UTF-8,
+# a quote, and a run of digits longer than Python's integer digit limit
+INSERTS = {"BOM": "\ufeff".encode(), "NUL": b"\0", "CR": b"\r", "xff xfe": b"\xff\xfe",
+           "quote": b'"', "5000 9s": b"9" * 5000}
 
 
 def value_paths(value, path=()):
@@ -103,14 +112,28 @@ def swap_lines(rng, lines):
     lines[i], lines[j] = lines[j], lines[i]
 
 
+def flip_bit(rng, data):
+    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+
+
+def insert_bytes(rng, data, raw):
+    offset = rng.randrange(len(data) + 1)
+    data[offset:offset] = raw
+
+
 def mutations(replace, *extra) -> list:
-    """(name, edit of the list of lines, or None for a bit flip) of each
-    mutation of one target: ``replace`` puts each of VALUES in place of one
-    value, then the line edits, ``extra`` and the flip."""
-    return [*((f"replace with {raw[:12]}", lambda rng, lines, raw=raw: replace(rng, lines, raw))
-              for raw in VALUES),
-            ("drop", drop_line), ("repeat", repeat_line), ("swap", swap_lines), ("cut", cut_line),
-            *extra, ("flip", None)]
+    """(name, edit, whether the edit is of bytes) of each mutation of one
+    target: ``replace`` puts each of VALUES in place of one value, then the
+    line edits and ``extra`` edit the list of lines, then each of INSERTS
+    and the bit flip edit the bytes of the file."""
+    return [*((f"replace with {raw[:12]}", lambda rng, lines, raw=raw: replace(rng, lines, raw),
+               False) for raw in VALUES),
+            *((name, edit, False) for name, edit in (
+                ("drop", drop_line), ("repeat", repeat_line), ("swap", swap_lines),
+                ("cut", cut_line), *extra)),
+            *((f"insert {name}", lambda rng, data, raw=raw: insert_bytes(rng, data, raw), True)
+              for name, raw in INSERTS.items()),
+            ("flip", flip_bit, True)]
 
 
 JSON_MUTATIONS = mutations(replace_json_value,
@@ -121,20 +144,21 @@ CSV_MUTATIONS = mutations(replace_csv_field)
 
 def mutated(rng, case: int, text: str, kinds) -> tuple:
     """(name of the mutation, the bytes of the mutated file) for one case."""
-    name, edit = kinds[case % len(kinds)]
+    name, edit, of_bytes = kinds[case % len(kinds)]
     lines = text.splitlines(keepends=True)
-    if edit is not None:
+    if not of_bytes:
         edit(rng, lines)
     data = bytearray("".join(lines).encode("utf-8"))
-    if edit is None:
-        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    if of_bytes:
+        edit(rng, data)
     return name, bytes(data)
 
 
-def run_cases(seed, text, kinds, path, check):
-    """Write each mutation of ``text`` to ``path`` and run ``check(path)``."""
+def run_cases(seed, cases, text, kinds, path, check):
+    """Write ``cases`` mutations of ``text`` to ``path``, running
+    ``check(path)`` on each."""
     rng = random.Random(seed)
-    for case in range(CASES):
+    for case in range(cases):
         name, data = mutated(rng, case, text, kinds)
         path.write_bytes(data)
         try:
@@ -150,17 +174,16 @@ def exits_with(argv, capsys, codes=(EXIT_OK, EXIT_DATA)):
     assert code in codes, f"exit {code}"
 
 
-@pytest.mark.parametrize("seed, name", [(1, "runaway"), (2, "overflow")])
-def test_mutated_reports(tmp_path, capsys, seed, name):
+def fuzz_report(name, tmp_path, capsys, seed, cases):
     def check(path):
         for view in _VIEWS:
             exits_with(["report", str(path), "--view", view], capsys)
 
     text = (GOLDEN / f"{name}.fxr").read_text(encoding="utf-8")
-    run_cases(seed, text, JSON_MUTATIONS, tmp_path / "mutated.fxr", check)
+    run_cases(seed, cases, text, JSON_MUTATIONS, tmp_path / "mutated.fxr", check)
 
 
-def test_mutated_models(tmp_path):
+def fuzz_model(tmp_path, capsys, seed, cases):
     def check(path):
         try:
             assert isinstance(load_model(path), Mlp)
@@ -170,7 +193,7 @@ def test_mutated_models(tmp_path):
     saved = tmp_path / "model.json"
     save_model(init_weights(Architecture(2, 3), 5, 0.5), saved)
     text = saved.read_text(encoding="utf-8")
-    run_cases(3, text, JSON_MUTATIONS, tmp_path / "mutated.json", check)
+    run_cases(seed, cases, text, JSON_MUTATIONS, tmp_path / "mutated.json", check)
 
 
 def synth_text(tmp_path, n) -> str:
@@ -180,21 +203,55 @@ def synth_text(tmp_path, n) -> str:
     return saved.read_text(encoding="utf-8")
 
 
-def test_mutated_series(tmp_path, capsys):
-    run_cases(4, synth_text(tmp_path, 40), CSV_MUTATIONS, tmp_path / "mutated.csv",
+def fuzz_series(tmp_path, capsys, seed, cases):
+    run_cases(seed, cases, synth_text(tmp_path, 40), CSV_MUTATIONS, tmp_path / "mutated.csv",
               lambda path: exits_with(["ingest", str(path)], capsys))
 
 
-# tiny sweeps; a series of 70 points leaves 18 before the default 52-point
-# test span, so that most cases reach training
-@pytest.mark.parametrize("seed, argv", [
-    (5, ["train", "--inputs", "2", "--hidden", "2", "--out", "model.json"]),
-    (6, ["grid", "--inputs", "1..2", "--hidden", "1,2", "--workers", "1", "--out", "grid.fxr"]),
-])
-def test_mutated_series_trained(tmp_path, capsys, monkeypatch, seed, argv):
-    monkeypatch.chdir(tmp_path)
+def fuzz_series_trained(argv, tmp_path, capsys, seed, cases):
+    """``argv`` on a mutated series, from the working directory ``tmp_path``.
+    A series of 70 points leaves 18 before the default 52-point test span,
+    so that most cases reach training."""
     command, *flags = argv
-    run_cases(seed, synth_text(tmp_path, 70), CSV_MUTATIONS, tmp_path / "mutated.csv",
+    run_cases(seed, cases, synth_text(tmp_path, 70), CSV_MUTATIONS, tmp_path / "mutated.csv",
               lambda path: exits_with([command, str(path), *flags, "--restarts", "1",
                                        "--max-epochs", "3"], capsys,
                                       (EXIT_OK, EXIT_DATA, EXIT_TRAINING)))
+
+
+# tiny sweeps
+TRAIN_ARGV = ["train", "--inputs", "2", "--hidden", "2", "--out", "model.json"]
+GRID_ARGV = ["grid", "--inputs", "1..2", "--hidden", "1,2", "--workers", "1", "--out", "grid.fxr"]
+
+
+@pytest.mark.parametrize("seed, name", [(1, "runaway"), (2, "overflow")])
+def test_mutated_reports(tmp_path, capsys, seed, name):
+    fuzz_report(name, tmp_path, capsys, seed, CASES)
+
+
+def test_mutated_models(tmp_path, capsys):
+    fuzz_model(tmp_path, capsys, 3, CASES)
+
+
+def test_mutated_series(tmp_path, capsys):
+    fuzz_series(tmp_path, capsys, 4, CASES)
+
+
+@pytest.mark.parametrize("seed, argv", [(5, TRAIN_ARGV), (6, GRID_ARGV)])
+def test_mutated_series_trained(tmp_path, capsys, monkeypatch, seed, argv):
+    monkeypatch.chdir(tmp_path)
+    fuzz_series_trained(argv, tmp_path, capsys, seed, CASES)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed, target", [
+    pytest.param(11, functools.partial(fuzz_report, "runaway"), id="runaway-report"),
+    pytest.param(12, functools.partial(fuzz_report, "overflow"), id="overflow-report"),
+    pytest.param(13, fuzz_model, id="model"),
+    pytest.param(14, fuzz_series, id="series"),
+    pytest.param(15, functools.partial(fuzz_series_trained, TRAIN_ARGV), id="series-train"),
+    pytest.param(16, functools.partial(fuzz_series_trained, GRID_ARGV), id="series-grid"),
+])
+def test_long_fuzz(tmp_path, capsys, monkeypatch, seed, target):
+    monkeypatch.chdir(tmp_path)
+    target(tmp_path, capsys, seed, LONG_CASES)

@@ -67,6 +67,14 @@ class TestForecastSet:
         with pytest.raises(DataError):
             ForecastSet([1.0, float("nan")], [1.0, 2.0])
 
+    @pytest.mark.parametrize("actual, predicted", [
+        ([[1.0, 2.0]], [[1.0, 2.0]]),
+        ([1.0, 2.0], [[1.0], [2.0]]),
+    ])
+    def test_two_dimensional_rejected(self, actual, predicted):
+        with pytest.raises(DataError, match="forecast values must be one-dimensional"):
+            ForecastSet(actual, predicted)
+
 
 class TestMetricRow:
     def test_negative_rejected(self):

@@ -15,7 +15,6 @@ from fxcast import (
     ReportVersionError,
     TrainConfig,
     WindowedDataset,
-    forward,
     gradient,
     init_weights,
     load_model,
@@ -139,32 +138,24 @@ class TestForward:
     def test_zero_network(self):
         arch = Architecture(1, 1)
         net = Mlp(arch, np.zeros((1, 1)), np.zeros(1), np.zeros(1), 0.0)
-        assert forward(net, [0.7]) == 0.0
+        assert predict(net, [[0.7]]).tolist() == [0.0]
 
     def test_hand_arithmetic(self):
         arch = Architecture(1, 1)
         net = Mlp(arch, np.zeros((1, 1)), np.zeros(1), np.array([2.0]), 1.0)
         # hidden sigmoid(0) = 0.5; output = 2*0.5 + 1
-        assert forward(net, [0.7]) == 2.0
+        assert predict(net, [[0.7], [-3.0]]).tolist() == [2.0, 2.0]
 
     def test_dimension_mismatch(self):
+        # a matrix p + 1 columns wide
         net = init_weights(Architecture(2, 3), 0, 0.5)
-        with pytest.raises(DataError):
-            forward(net, [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match=r"shape \(1, 3\) does not match \(n, 2\)"):
+            predict(net, [[1.0, 2.0, 3.0]])
 
     def test_random_net_finite(self):
         rng = np.random.default_rng(1)
         net = init_weights(Architecture(4, 5), 9, 0.5)
-        for _ in range(20):
-            assert math.isfinite(forward(net, rng.uniform(-10, 10, 4)))
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(2)
-        net = init_weights(Architecture(3, 4), 5, 0.5)
-        inputs = rng.uniform(0, 1, (10, 3))
-        batch = predict(net, inputs)
-        for i in range(10):
-            assert batch[i] == pytest.approx(forward(net, inputs[i]), rel=1e-15)
+        assert np.all(np.isfinite(predict(net, rng.uniform(-10, 10, (20, 4)))))
 
     def test_saturated_hidden_units_stay_finite_and_bounded(self):
         # pre-activations of about +-1000 overflow the sigmoid's exp; the
@@ -191,9 +182,8 @@ class TestForward:
             net.output_weights[perm],
             net.output_bias,
         )
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 3)
-            assert forward(permuted, x) == pytest.approx(forward(net, x), abs=1e-12)
+        x = rng.uniform(-1, 1, (20, 3))
+        np.testing.assert_allclose(predict(permuted, x), predict(net, x), rtol=0, atol=1e-12)
 
 
 class TestMlpInvariants:
@@ -206,6 +196,19 @@ class TestMlpInvariants:
         arch = Architecture(1, 1)
         with pytest.raises(DataError):
             Mlp(arch, np.array([[np.inf]]), np.zeros(1), np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden_biases", np.zeros(2), r"hidden_biases must have shape \(3,\)"),
+        ("output_weights", np.zeros((3, 1)), r"output_weights must have shape \(3,\)"),
+        ("output_bias", math.nan, "network parameters must be finite"),
+        ("output_bias", -math.inf, "network parameters must be finite"),
+    ])
+    def test_each_field_checked(self, field, value, message):
+        layers = dict(hidden_weights=np.zeros((3, 2)), hidden_biases=np.zeros(3),
+                      output_weights=np.zeros(3), output_bias=0.0)
+        Mlp(Architecture(2, 3), **layers)
+        with pytest.raises(DataError, match=message):
+            Mlp(Architecture(2, 3), **{**layers, field: value})
 
 
 class TestSse:
@@ -390,6 +393,10 @@ class TestTrainBlock:
             )
             nets0 = [init_weights(Architecture(p, h), int(rng.integers(1 << 30)),
                                   float(rng.uniform(0.1, 4.0))) for h in hs]
+            # the block forward pass gives each network the bits it gives alone
+            block_out = fxcast.mlp._predict_block(nets0, data.inputs)
+            for row, net0 in zip(block_out, nets0, strict=True):
+                assert row.tobytes() == predict(net0, data.inputs).tobytes()
             for net0, run in zip(nets0, fxcast.mlp._train_block(nets0, data, cfg)):
                 alone = train(net0, data, cfg)
                 assert run.diverged == alone.diverged

@@ -173,6 +173,36 @@ def test_record_is_frozen_and_compares_by_value(name):
         hash(record)
 
 
+DATE = datetime.date(2000, 1, 7)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: TimeSeries((DATE, DATE + datetime.timedelta(weeks=1)), [[1.0], [2.0]]),
+                 "series values must be one-dimensional", id="series-2d-values"),
+    pytest.param(lambda: TimeSeries((DATE,), [1.0, 2.0]),
+                 "series has mismatched date and value counts", id="series-one-date-too-few"),
+    pytest.param(lambda: TimeSeries((DATE, DATE), [1.0, 2.0]),
+                 "dates not strictly increasing at 2000-01-07", id="series-repeated-date"),
+    pytest.param(lambda: WindowedDataset(0, np.zeros((1, 0)), [1.0]),
+                 "window length must be positive", id="windows-length-0"),
+    pytest.param(lambda: WindowedDataset(2, np.zeros((3, 1)), np.zeros(3)),
+                 "pattern inputs do not match the window length", id="windows-too-narrow"),
+    pytest.param(lambda: WindowedDataset(1, np.zeros(3), np.zeros(3)),
+                 "pattern inputs do not match the window length", id="windows-1d-inputs"),
+    pytest.param(lambda: WindowedDataset(1, np.zeros((3, 1)), np.zeros(2)),
+                 "pattern inputs and targets differ in count", id="windows-target-count"),
+    pytest.param(lambda: WindowedDataset(1, np.zeros((0, 1)), np.zeros(0)),
+                 "dataset must contain at least one pattern", id="windows-empty"),
+    pytest.param(lambda: split_by_count(series_of([1.0, 2.0, 3.0]), 0, 2),
+                 "train and test lengths must be positive", id="split-train-0"),
+    pytest.param(lambda: split_by_count(series_of([1.0, 2.0, 3.0]), 2, 0),
+                 "train and test lengths must be positive", id="split-test-0"),
+])
+def test_invalid_series_records_rejected(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        build()
+
+
 class TestMakeWindows:
     def test_lag_two_patterns(self):
         data = make_windows(series_of([10, 20, 30, 40, 50]), 2)
