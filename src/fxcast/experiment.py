@@ -7,7 +7,7 @@ import datetime
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain, product
 from operator import attrgetter, itemgetter
 
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     _BUILD_ERRORS,
     DataError,
-    DivergenceError,
     ReportFormatError,
     _check_tag,
     _corrupt,
@@ -43,12 +42,13 @@ from .mlp import (
     _restart_searches,
     train_multi_restart,
 )
-from .series import TimeSeries, WindowedDataset, fit_scaler, make_windows
+from .series import Scaler, TimeSeries, WindowedDataset, fit_scaler
 
 _REPORT_FORMAT = "fxcast-grid-report"
 _REPORT_VERSION = 1
 
 _SYNTH_EPOCH = datetime.date(2000, 1, 7)
+_SYNTH_MAX_N = (datetime.date.max - _SYNTH_EPOCH).days // 7 + 1  # weekly dates to date.max
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,9 @@ class CellResult:
     """Metrics for one (p, h) grid cell.
 
     ``train_seconds`` is wall-clock bookkeeping: it is excluded from equality
-    and never persisted, so report files stay reproducible run to run. From
-    ``evaluate_cell`` it is the whole call. From ``run_grid``, whose cells
-    of one input level train and are scored together, it is the cell's
-    share, by hidden rows (h + 1), of that level's wall time from windowing
-    to scoring; a pooled sweep that splits a level into pieces times each
-    piece on its own.
+    and never persisted, so report files stay reproducible run to run. It
+    is the cell's share, by hidden rows (h + 1), of the wall time of the
+    piece it was scored in, from windowing to scoring (``_cell_records``).
     """
 
     p: int
@@ -154,58 +151,61 @@ def _mean_row(rows) -> MetricRow:
     )
 
 
-def _scaled_windows(train_series: TimeSeries, p: int, scale: bool):
-    """(scaler or None, training windows of length p in scaled units)."""
-    if len(train_series) <= p:
-        raise DataError(f"training series length {len(train_series)} must exceed p={p}")
-    scaler = fit_scaler(train_series) if scale else None
-    data = make_windows(train_series, p)
-    if scaler is not None:
-        # elementwise, so the same values as windowing the scaled series
-        data = WindowedDataset(p, scaler.apply(data.inputs), scaler.apply(data.targets))
-    return scaler, data
-
-
-def _score_level(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
-                 scaler, data: WindowedDataset, results) -> list:
-    """The items of the cells of one input level, one per item of ``results``:
-    each a cell's TrainResult, or the CellFailure of a cell left without a
-    network, which passes through.
-
-    The networks are scored as one block: one forward pass over the
-    training windows and one over the teacher-forced test windows, one
-    inverse scaling of each, and one reduction per measure and horizon. A
-    cell whose forecasts fail a check of ``metrics._horizon_rows`` becomes
-    a CellFailure with that check's message.
-    """
-    p = data.window_len
-    live = [j for j, result in enumerate(results) if isinstance(result, TrainResult)]
-    items = list(results)
-    if not live:
-        return items
-    nets = [results[j].best_net for j in live]
-    combined = np.concatenate((train_series.values[-p:], test_series.values))
-    # a test value far outside the training range, or a huge but finite
-    # output, may overflow a scaling; the scoring names the forecasts it spoils
+def _cell_windows(train_series: TimeSeries, test_series: TimeSeries, p: int, scale: bool):
+    """(scaler, training windows, teacher-forced test inputs) of lag p, in
+    units of the scaler fitted on the training span, or of the identity with
+    ``scale`` off. Scaling is elementwise, so scaling the series once gives
+    the bits of scaling each window."""
+    n = len(train_series)
+    if n <= p:
+        raise DataError(f"training series length {n} must exceed p={p}")
+    scaler = fit_scaler(train_series) if scale else Scaler(0.0, 1.0)
+    # a test value far outside the training range may overflow; the scoring
+    # names the forecasts it spoils
     with np.errstate(over="ignore"):
-        if scaler is not None:
-            combined = scaler.apply(combined)
-        test_inputs = np.lib.stride_tricks.sliding_window_view(combined, p)[: len(test_series)]
-        in_pred = _predict_block(nets, data.inputs)
-        out_pred = _predict_block(nets, test_inputs)
-        if scaler is not None:
-            in_pred, out_pred = scaler.invert(in_pred), scaler.invert(out_pred)
-    in_rows = _metric_rows(train_series.values[p:], in_pred, "in-sample forecasts")
-    out_rows = _horizon_rows(test_series.values, out_pred, cfg.horizon_spec,
-                             "out-of-sample forecasts")
-    for j, in_row, out_row in zip(live, in_rows, out_rows):
-        result = results[j]
-        h = result.best_net.arch.hidden_count
+        values = scaler.apply(np.concatenate((train_series.values, test_series.values)))
+    rows = np.lib.stride_tricks.sliding_window_view(values, p)
+    return scaler, WindowedDataset(p, rows[:n - p], values[p:n]), rows[n - p:-1]
+
+
+def _cell_records(train_series: TimeSeries, test_series: TimeSeries, cfg: GridConfig,
+                  windows, widths, outcomes, started: float) -> list:
+    """The records of the cells (p, h) for each h of ``widths``, from the
+    ``_cell_windows`` they trained on and one search outcome per width: a
+    TrainResult, or the unraised DivergenceError of a search that left no
+    network, which becomes the cell's CellFailure.
+
+    The winners are scored as one block: one forward pass over the training
+    windows and one over the test inputs, one inverse scaling of each, and
+    one reduction per measure and horizon. A cell whose forecasts fail a
+    check of ``metrics._horizon_rows`` becomes a CellFailure with that
+    check's message. A CellResult's ``train_seconds`` is its share, by
+    hidden rows (h + 1), of the wall time since ``started``.
+    """
+    scaler, data, test_inputs = windows
+    p = data.window_len
+    nets = [outcome.best_net for outcome in outcomes if isinstance(outcome, TrainResult)]
+    scored = iter(())
+    if nets:
+        # a huge but finite output may overflow the inverse scaling
+        with np.errstate(over="ignore"):
+            in_pred = scaler.invert(_predict_block(nets, data.inputs))
+            out_pred = scaler.invert(_predict_block(nets, test_inputs))
+        scored = zip(_metric_rows(train_series.values[p:], in_pred, "in-sample forecasts"),
+                     _horizon_rows(test_series.values, out_pred, cfg.horizon_spec,
+                                   "out-of-sample forecasts"))
+    share = (time.perf_counter() - started) / sum(h + 1 for h in widths)
+    records = []
+    for h, outcome in zip(widths, outcomes):
+        if not isinstance(outcome, TrainResult):
+            records.append(CellFailure(p=p, h=h, error=str(outcome)))
+            continue
+        in_row, out_row = next(scored)
         error = next((row for row in (in_row, out_row) if isinstance(row, str)), None)
-        items[j] = (CellFailure(p=p, h=h, error=error) if error is not None else
-                    CellResult(p=p, h=h, in_sample=in_row, out_sample=out_row,
-                               best_sse=result.best_sse))
-    return items
+        records.append(CellFailure(p=p, h=h, error=error) if error is not None else
+                       CellResult(p=p, h=h, in_sample=in_row, out_sample=out_row,
+                                  best_sse=outcome.best_sse, train_seconds=share * (h + 1)))
+    return records
 
 
 def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: int,
@@ -216,17 +216,20 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     forecasts are one-step-ahead with teacher forcing: the input for test
     position t is always the p most recent actual observations (train tail,
     then preceding test actuals) — never the model's own forecasts. All
-    metrics are computed in original units. Raises DivergenceError if every
-    restart diverged or ran away and DataError if the forecasts cannot be scored.
+    metrics are computed in original units. The cell takes the path of a
+    sweep piece of one width (``_level_cells``), trained by
+    ``train_multi_restart``, so its ``train_seconds`` is the whole call.
+    Raises DivergenceError if every restart diverged or ran away and
+    DataError if the forecasts cannot be scored.
     """
     started = time.perf_counter()
-    scaler, data = _scaled_windows(train_series, p, cfg.scale)
-    result = train_multi_restart(Architecture(input_count=p, hidden_count=h), data,
+    windows = _cell_windows(train_series, test_series, p, cfg.scale)
+    result = train_multi_restart(Architecture(input_count=p, hidden_count=h), windows[1],
                                  cfg.train_cfg)
-    [cell] = _score_level(train_series, test_series, cfg, scaler, data, [result])
+    [cell] = _cell_records(train_series, test_series, cfg, windows, (h,), [result], started)
     if isinstance(cell, CellFailure):
         raise DataError(cell.error)
-    return replace(cell, train_seconds=time.perf_counter() - started), result.best_net
+    return cell, result.best_net
 
 
 def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
@@ -238,28 +241,18 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
 
 def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
                  p: int, widths) -> list:
-    """The cells (p, h) for each h of ``widths``, one piece of an input
-    level, as ``evaluate_cell`` scores them; a cell with no usable network
-    becomes a CellFailure.
-
-    The windows are built and scaled once, ``mlp._restart_searches`` trains
-    the restarts of all widths in one call, and ``_score_level`` scores the
-    winners together. A cell's ``train_seconds`` is its share, by hidden
-    rows (h + 1), of this call's wall time, from windowing to scoring.
-    """
+    """The records of the cells (p, h) for each h of ``widths``, one piece
+    of an input level, on ``evaluate_cell``'s path: the widths share one
+    ``_cell_windows``, ``mlp._restart_searches`` trains all their restarts
+    in one call, and ``_cell_records`` scores the winners together."""
     started = time.perf_counter()
     try:
-        scaler, data = _scaled_windows(train_series, p, grid.scale)
+        windows = _cell_windows(train_series, test_series, p, grid.scale)
     except DataError as exc:
         return [CellFailure(p=p, h=h, error=str(exc)) for h in widths]
-    results = _restart_searches([Architecture(p, h) for h in widths], data, grid.train_cfg)
-    results = [CellFailure(p=p, h=h, error=str(result))
-               if isinstance(result, DivergenceError) else result
-               for h, result in zip(widths, results)]
-    items = _score_level(train_series, test_series, grid, scaler, data, results)
-    share = (time.perf_counter() - started) / sum(h + 1 for h in widths)
-    return [replace(item, train_seconds=share * (item.h + 1))
-            if isinstance(item, CellResult) else item for item in items]
+    outcomes = _restart_searches([Architecture(p, h) for h in widths], windows[1],
+                                 grid.train_cfg)
+    return _cell_records(train_series, test_series, grid, windows, widths, outcomes, started)
 
 
 # the sweep of the pool this worker process serves, set once at its start
@@ -308,14 +301,13 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     the grid) on a process pool of at most one process per task. The sweep
     inputs (both series and the grid) go to each worker once, when it
     starts, and each task carries only its (p, widths) pair. Within a task
-    the cells share one scaled set of windows, the restarts of all widths
-    train together, and the winners are scored together; a cell's
-    ``train_seconds`` is its share, by hidden rows (h + 1), of the task's
-    wall time. Blocking only saves numpy calls: every network gets the bits
-    that ``train`` gives it alone, every cell the metrics that scoring it
-    alone gives, and restart seeds depend only on (master_seed, p, h,
-    restart), so the output is identical at any worker count and equals
-    ``evaluate_cell`` cell by cell.
+    the cells share their windows, training and scoring, on the path that
+    ``evaluate_cell`` takes for one cell; a cell's ``train_seconds`` is its
+    share, by hidden rows (h + 1), of the task's wall time. Blocking only
+    saves numpy calls: every network gets the bits that ``train`` gives it
+    alone, every cell the metrics that scoring it alone gives, and restart
+    seeds depend only on (master_seed, p, h, restart), so the output is
+    identical at any worker count and equals ``evaluate_cell`` cell by cell.
 
     Results are read back in (p, h) order: a cell's record goes to ``sink``
     and ``progress`` once its task and every task before it are done, so
@@ -722,8 +714,9 @@ def synthesize_series(kind: str, n: int, seed: int = 0, **params) -> TimeSeries:
     ``_SYNTH`` gives each kind's parameters and defaults; given values go
     through ``float()``. Only ``noisy_ar1`` uses ``seed``. Values that
     overflow are a DataError, with no numpy warning."""
-    if n < 2:
-        raise DataError("synthetic series length must be at least 2")
+    if not 2 <= n <= _SYNTH_MAX_N:
+        raise DataError(f"synthetic series length must be 2 to {_SYNTH_MAX_N}, the weekly "
+                        f"dates from {_SYNTH_EPOCH} to {datetime.date.max}")
     if kind not in _SYNTH:
         raise DataError(f"unknown series kind {kind!r}; expected one of {_SYNTH_KINDS}")
     generate, defaults = _SYNTH[kind]

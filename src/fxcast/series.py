@@ -6,6 +6,7 @@ import csv
 import datetime
 import io
 import itertools
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -117,13 +118,17 @@ class ColumnFormat:
             raise DataError("column indices must be nonnegative")
 
 
-def _parse_date(field: str) -> datetime.date:
+def _parse_date(field: str, row: int):
+    """The date of a field in the YYYY-MM-DD shape, None for any other field
+    (date.fromisoformat takes more forms from Python 3.11 on)."""
     text = field.strip()
-    # YYYY-MM-DD only, where date.fromisoformat takes more forms from
-    # Python 3.11 on; it checks the digits
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
-        raise ValueError(text)
-    return datetime.date.fromisoformat(text)
+    try:
+        if len(text) == 10 and text[4] == text[7] == "-":
+            return datetime.date.fromisoformat(text)
+    except ValueError:
+        if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):  # no calendar date
+            raise ParseError(f"malformed date {field!r}", row=row) from None
+    return None
 
 
 def _parse_value(field: str, row: int) -> float:
@@ -144,9 +149,9 @@ def parse_series(text, fmt: ColumnFormat = ColumnFormat(), name: str = "series")
 
     ``text`` may be a string or a readable text stream; a byte-order mark at
     its start is dropped. A single header row is auto-detected when the
-    first row's date field is not a YYYY-MM-DD date. Rows must arrive in
-    strictly increasing date order; out-of-order input is an error, not a
-    sort.
+    first row's date field is not in the YYYY-MM-DD shape. Rows must arrive
+    in strictly increasing date order; out-of-order input is an error, not
+    a sort.
     """
     lines = iter(io.StringIO(text) if isinstance(text, str) else text)
     needed = max(fmt.date_col, fmt.value_col) + 1
@@ -164,13 +169,12 @@ def parse_series(text, fmt: ColumnFormat = ColumnFormat(), name: str = "series")
                 raise ParseError(
                     f"expected at least {needed} columns, found {len(row)}", row=row_no
                 )
-            try:
-                date = _parse_date(row[fmt.date_col])
-            except ValueError:
+            date = _parse_date(row[fmt.date_col], row_no)
+            if date is None:
                 if not seen_content:
                     seen_content = True
                     continue  # header row
-                raise ParseError(f"malformed date {row[fmt.date_col]!r}", row=row_no) from None
+                raise ParseError(f"malformed date {row[fmt.date_col]!r}", row=row_no)
             seen_content = True
             value = _parse_value(row[fmt.value_col], row_no)
             if dates:

@@ -95,6 +95,13 @@ class TestIngest:
         assert main(["ingest", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: row 2: malformed date '{second}'\n"
 
+    def test_first_row_not_on_the_calendar(self, tmp_path, capsys):
+        # in the date shape, so not a header: the row is an error, not dropped
+        path = tmp_path / "dates.csv"
+        path.write_text("2000-02-30,1.0\n2000-03-07,2.0\n2000-03-14,3.0\n")
+        assert main(["ingest", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: row 1: malformed date '2000-02-30'\n"
+
 
 class TestMalformedSeries:
     @pytest.mark.parametrize("command, flags", [
@@ -148,6 +155,18 @@ class TestSynth:
     def test_n_must_be_positive(self, tmp_path):
         assert main(["synth", "--kind", "sine", "--n", "0",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("kind", ["sine", "noisy_ar1"])
+    @pytest.mark.parametrize("n", ["417421", str(10**20)])
+    def test_n_past_the_last_date_is_a_data_error(self, tmp_path, capsys, kind, n):
+        # weekly dates from 2000-01-07 reach 9999-12-31 at 417 420 points;
+        # one more is an error before any value is generated
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--kind", kind, "--n", n, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: synthetic series length must be 2 to 417420, the weekly dates "
+            "from 2000-01-07 to 9999-12-31\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("params", [
         ["--kind", "noisy_ar1", "--phi", "10", "--y0", "1e308"],

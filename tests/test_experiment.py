@@ -87,6 +87,11 @@ class TestSynthesize:
         with pytest.raises(DataError):
             synthesize_series("sine", 1)
 
+    def test_longest_series_ends_in_the_last_week_of_dates(self):
+        # one point more is a DataError (test_cli's TestSynth)
+        s = synthesize_series("sine", 417420)
+        assert datetime.date.max - s.dates[-1] < datetime.timedelta(weeks=1)
+
     def test_invalid_logistic_params(self):
         with pytest.raises(DataError):
             synthesize_series("logistic_map", 10, r=-1.0)
@@ -204,6 +209,23 @@ class TestRunCell:
         assert trained_on[0].inputs.tobytes() == reference.inputs.tobytes()
         assert trained_on[0].targets.tobytes() == reference.targets.tobytes()
         assert via_scaled_series == cell
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_unscaled_windows_keep_the_series_bits(self, p):
+        # with scale off the scaler is the identity, which keeps the bits of
+        # every finite value, -0.0 and values near the float limit included
+        values = [0.5, -0.0, -2.25, 1e308, 3.0, -0.0, 7.5, -1e308, 0.125, 2.0, -0.0, 1e-300]
+        train_series, test_series = split_by_count(series_of(values), 8, 4)
+        scaler, data, test_inputs = experiment._cell_windows(train_series, test_series, p,
+                                                             False)
+        raw = make_windows(train_series, p)
+        assert data.inputs.tobytes() == raw.inputs.tobytes()
+        assert data.targets.tobytes() == raw.targets.tobytes()
+        combined = np.concatenate((train_series.values[-p:], test_series.values))
+        want = np.lib.stride_tricks.sliding_window_view(combined, p)[:len(test_series)]
+        assert test_inputs.tobytes() == want.tobytes()
+        # inverting gives back every value, a -0.0 as +0.0, which equals it
+        assert np.array_equal(scaler.invert(data.targets), raw.targets)
 
     def test_in_sample_covers_n_minus_p_patterns(self, ar_split):
         # without scaling the training SSE is in the metrics' units, so the
@@ -554,7 +576,7 @@ class TestRestartSearch:
     def test_equals_one_train_per_restart(self, ar_split, h, changes, diverged, ran_away):
         cfg = dataclasses.replace(WILD_TRAIN, restarts=6, **changes)
         arch = Architecture(4, h)
-        _, data = experiment._scaled_windows(ar_split[0], 4, True)
+        _, data, _ = experiment._cell_windows(*ar_split, 4, True)
         assert cfg.restarts * (arch.hidden_count + 1) * len(data.targets) <= _BLOCK_BUDGET
         nets0 = [init_weights(arch, restart_seed(cfg.master_seed, 4, h, k), cfg.init_half_width)
                  for k in range(cfg.restarts)]
@@ -609,8 +631,9 @@ class TestLevelScoring:
         train_series, test_series = ar_split
         grid = small_grid(input_levels=(4,), hidden_levels=(2,))
         result = overflowing(Architecture(4, 2))
-        scaler, data = experiment._scaled_windows(train_series, 4, grid.scale)
-        items = experiment._score_level(train_series, test_series, grid, scaler, data, [result])
+        windows = experiment._cell_windows(train_series, test_series, 4, grid.scale)
+        items = experiment._cell_records(train_series, test_series, grid, windows, (2,),
+                                         [result], time.perf_counter())
         assert items == [CellFailure(p=4, h=2, error=OVERFLOW)]
         monkeypatch.setattr(experiment, "train_multi_restart", lambda *_: result)
         with pytest.raises(DataError, match=OVERFLOW):
@@ -648,18 +671,20 @@ class TestLevelScoring:
                                        WILD_TRAIN if arch.hidden_count == 3 else train_cfg)
 
         monkeypatch.setattr(experiment, "train_multi_restart", per_width)
-        scaler, data = experiment._scaled_windows(train_series, 4, grid.scale)
-        results, alone = [], []
+        windows = experiment._cell_windows(train_series, test_series, 4, grid.scale)
+        outcomes, alone = [], []
+        started = time.perf_counter()
         for h in grid.hidden_levels:
             try:
-                results.append(per_width(Architecture(4, h), data, grid.train_cfg))
+                outcomes.append(per_width(Architecture(4, h), windows[1], grid.train_cfg))
             except DivergenceError as exc:
-                results.append(CellFailure(p=4, h=h, error=str(exc)))
+                outcomes.append(exc)
             try:
                 alone.append(evaluate_cell(train_series, test_series, 4, h, grid)[0])
             except (DataError, DivergenceError) as exc:
                 alone.append(CellFailure(p=4, h=h, error=str(exc)))
-        items = experiment._score_level(train_series, test_series, grid, scaler, data, results)
+        items = experiment._cell_records(train_series, test_series, grid, windows,
+                                         grid.hidden_levels, outcomes, started)
         assert items == alone
         errors = [getattr(item, "error", None) for item in items]
         survivors = ([None] * 2 if zero_at is None else

@@ -51,6 +51,18 @@ class TestParseSeries:
         s = parse_series("date,value\n2009-01-02,48.50\n2009-01-09,48.90")
         assert len(s) == 2
 
+    @pytest.mark.parametrize("header", ["Date,Value", "yyyy-mm-dd,value"])
+    def test_header_not_in_the_date_shape(self, header):
+        s = parse_series(f"{header}\n2009-01-02,48.50\n2009-01-09,48.90")
+        assert len(s) == 2
+
+    @pytest.mark.parametrize("first", ["2000-02-30", "2001-02-29", "2000-13-01", "0000-01-01"])
+    def test_first_row_in_the_date_shape_is_no_header(self, first):
+        # a first row in the YYYY-MM-DD shape is data, so a date that is not
+        # on the calendar is an error there too, not a header to drop
+        with pytest.raises(ParseError, match=f"^row 1: malformed date '{first}'$"):
+            parse_series(f"{first},1.0\n2000-03-07,2.0\n2000-03-14,3.0")
+
     def test_header_only_is_empty(self):
         with pytest.raises(ParseError, match="empty input"):
             parse_series("date,value\n")
