@@ -236,10 +236,12 @@ class _Block:
     over a unit block that includes its ones row, rounds differently, and a
     network must give in a block the bits it gives alone.
 
-    With ``targets`` the block also holds the training intermediates.
-    Reallocating them every epoch costs ~3x the arithmetic itself (large
-    blocks come straight from mmap and fault in each time), so training
-    owns one block and every evaluation writes into it.
+    With ``targets`` the block also holds the training intermediates and a
+    copy of the targets per network. Reallocating them every epoch costs ~3x
+    the arithmetic itself (large blocks come straight from mmap and fault in
+    each time), so one training call owns one block and every evaluation
+    writes into it. A network that leaves training keeps its rows, frozen as
+    the zero network on zero targets.
     """
 
     def __init__(self, inputs: np.ndarray, hidden_counts, targets=None):
@@ -286,14 +288,6 @@ class _Block:
             w2[:-1] = net.output_weights
             w2[-1] = net.output_bias
         return params
-
-    def nonfinite(self, finite: np.ndarray) -> list:
-        """Positions of the networks with a False in the parameter mask ``finite``."""
-        split = self.rows * (self.input_count + 1)
-        w1 = finite[:split].reshape(self.rows, -1)
-        w2 = finite[split:]
-        return [k for k, (a, b) in enumerate(self.spans)
-                if not (w1[a:b].all() and w2[a:b + 1].all())]
 
 
 class _Params:
@@ -443,60 +437,57 @@ def _train_block(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
 def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     """``_train_block`` for networks that share one block, and so each
     epoch's elementwise numpy calls, which at a few hundred patterns cost
-    more than the arithmetic. A network that diverges or meets the stop rule
-    leaves the block, and the others go on in a block rebuilt from their
-    current state; its first evaluation repeats theirs exactly."""
-    lr, max_epochs, min_delta = cfg.learning_rate, cfg.max_epochs, cfg.min_sse_delta
+    more than the arithmetic. The block is built once: a network that
+    diverges or meets the stop rule gets its TrainRun from the state it
+    leaves with, and its rows become the zero network on zero targets, whose
+    gradient and step are exactly 0. No network reads another's rows, so the
+    others go on with the bits they have alone."""
+    lr, min_delta = cfg.learning_rate, cfg.min_sse_delta
+    block = _Block(data.inputs, [net.arch.hidden_count for net in nets0], data.targets)
+    params, trial = block.params(nets0), block.params()
+    finite = np.empty(params.flat.shape, dtype=bool)
     runs = [None] * len(nets0)
     traces = [[] for _ in nets0]
-    initial = {}  # network -> the SSE of its initial state
-    current = list(nets0)
-    live = list(range(len(nets0)))
-    epoch = 0
+    live = len(nets0)
+
+    def leave(k, state, value, diverged):
+        nonlocal live
+        runs[k] = TrainRun(net=Mlp(nets0[k].arch, *state.layers(k)), sse=value,
+                           sse_trace=traces[k], diverged=diverged,
+                           ran_away=not diverged and value > initial[k])
+        for rows in (params.w1s, params.w2s, trial.w1s, trial.w2s, block.grad.w1s,
+                     block.grad.w2s, block.targets):
+            rows[k].fill(0.0)
+        live -= 1
+
     # blow-ups surface as non-finite values and are handled explicitly below,
     # so the numpy overflow warnings on a diverging run are pure noise
     with np.errstate(over="ignore", invalid="ignore"):
-        while live:
-            block = _Block(data.inputs, [current[i].arch.hidden_count for i in live],
-                           data.targets)
-            params = block.params([current[i] for i in live])
-            trial = block.params()
-            finite = np.empty(params.flat.shape, dtype=bool)
-            sse_prev = _sse_and_gradient(params, block)
-            for i, value in zip(live, sse_prev):
-                initial.setdefault(i, value)  # a rebuilt block evaluates a later state
-            block_traces = [traces[i] for i in live]
-            left = {}  # block position -> (parameters it leaves with, SSE, diverged)
-            while not left:
-                if epoch == max_epochs:
-                    left = {k: (params, sse_prev[k], False) for k in range(len(live))}
-                    break
-                np.multiply(block.grad.flat, lr, out=trial.flat)  # the step
-                np.subtract(params.flat, trial.flat, out=trial.flat)
-                if not np.isfinite(trial.flat, out=finite).all():
-                    # the others redo this epoch in the rebuilt block
-                    left = {k: (params, sse_prev[k], True) for k in block.nonfinite(finite)}
-                    break
-                sse_new = _sse_and_gradient(trial, block)
-                epoch += 1
-                for k, value in enumerate(sse_new):
-                    if not math.isfinite(value):
-                        left[k] = (params, sse_prev[k], True)
-                        continue
-                    block_traces[k].append(value)
-                    if 0.0 <= sse_prev[k] - value < min_delta:
-                        left[k] = (trial, value, False)
-                params, trial = trial, params
-                sse_prev = sse_new
-            for k, i in enumerate(live):
-                if k in left:
-                    state, value, diverged = left[k]
-                    runs[i] = TrainRun(net=Mlp(nets0[i].arch, *state.layers(k)), sse=value,
-                                       sse_trace=traces[i], diverged=diverged,
-                                       ran_away=not diverged and value > initial[i])
-                else:
-                    current[i] = Mlp(nets0[i].arch, *params.layers(k))
-            live = [i for i in live if runs[i] is None]
+        sse_prev = initial = _sse_and_gradient(params, block)
+        for _ in range(cfg.max_epochs):
+            if not live:
+                break
+            np.multiply(block.grad.flat, lr, out=trial.flat)  # the step
+            np.subtract(params.flat, trial.flat, out=trial.flat)
+            if not np.isfinite(trial.flat, out=finite).all():
+                for k, (w1, w2) in enumerate(zip(trial.w1s, trial.w2s)):
+                    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+                        leave(k, params, sse_prev[k], True)
+            sse_new = _sse_and_gradient(trial, block)
+            for k, value in enumerate(sse_new):
+                if runs[k] is not None:
+                    continue
+                if not math.isfinite(value):
+                    leave(k, params, sse_prev[k], True)
+                    continue
+                traces[k].append(value)
+                if 0.0 <= sse_prev[k] - value < min_delta:
+                    leave(k, trial, value, False)
+            params, trial = trial, params
+            sse_prev = sse_new
+        for k, run in enumerate(runs):
+            if run is None:
+                leave(k, params, sse_prev[k], False)
     return runs
 
 
@@ -511,7 +502,10 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
     SSE turns non-finite, the run aborts and returns the last finite state
     with ``diverged`` set. A run that stays finite but ends with a higher
     SSE than its initial network had is returned with ``ran_away`` set.
-    The caller decides whether to discard either.
+    The caller decides whether to discard either. This is ``_train_block``
+    of one network; a network trained in a block with others gets these
+    same bits, and a run that ends before theirs stays in the block as the
+    zero network.
     """
     return _train_block([net0], data, cfg)[0]
 

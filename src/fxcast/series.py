@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, _integer
 
 
 class _Record:
@@ -112,8 +112,11 @@ class ColumnFormat:
     value_col: int = 1
 
     def __post_init__(self):
-        if len(self.delimiter) != 1 or self.delimiter in '\r\n"':
-            raise DataError("delimiter must be one character, not a quote or line break")
+        if (not isinstance(self.delimiter, str) or len(self.delimiter) != 1
+                or self.delimiter in '\r\n"'):
+            raise DataError("delimiter must be a one-character str, not a quote or line break")
+        for name in ("date_col", "value_col"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.date_col < 0 or self.value_col < 0:
             raise DataError("column indices must be nonnegative")
 

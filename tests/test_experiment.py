@@ -17,6 +17,7 @@ from fxcast import (
     Architecture,
     CellFailure,
     CellResult,
+    ColumnFormat,
     DataError,
     DivergenceError,
     GridConfig,
@@ -366,36 +367,27 @@ class TestRunGrid:
         assert sink.getvalue() == ""
 
     @pytest.mark.parametrize("hook", ["sink", "progress"])
-    def test_pooled_sweep_stops_promptly_on_error(self, ar_split, hook):
-        # 40 cells of similar cost on 2 workers: a sweep that fails on its
-        # first cell must stop after the few cells already running, not run
-        # the ~20 rounds of the whole grid
+    def test_pooled_sweep_stops_promptly_on_error(self, ar_split, monkeypatch, hook):
+        # 60 cells in 20 pieces on 2 workers: a sweep that fails on its
+        # first cell must stop after the pieces already running or queued,
+        # not run the pieces of the rest of the grid
         train_series, test_series = ar_split
         grid = small_grid(
-            input_levels=tuple(range(1, 9)), hidden_levels=(4, 5, 6, 7, 8),
+            input_levels=tuple(range(1, 13)), hidden_levels=(4, 5, 6, 7, 8),
             train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=600, restarts=2),
         )
-        started = time.perf_counter()
-        run_grid(train_series, test_series, grid, workers=2)
-        whole = time.perf_counter() - started
 
-        class Failing(Exception):
-            pass
+        def sweep(fail):
+            class FailingSink(io.StringIO):
+                def write(self, text):
+                    if '"type": "cell"' in text:
+                        fail()
+                    return super().write(text)
 
-        class FailingSink(io.StringIO):
-            def write(self, text):
-                if '"type": "cell"' in text:
-                    raise Failing()
-                return super().write(text)
-
-        def failing_progress(done, total, item):
-            raise Failing()
-
-        hooks = {"sink": FailingSink(), "progress": failing_progress}
-        started = time.perf_counter()
-        with pytest.raises(Failing):
+            hooks = {"sink": FailingSink(), "progress": lambda done, total, item: fail()}
             run_grid(train_series, test_series, grid, workers=2, **{hook: hooks[hook]})
-        assert time.perf_counter() - started < 0.5 * whole
+
+        assert_stops_promptly(monkeypatch, sweep)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunked_pool_matches_serial(self, ar_split, workers):
@@ -416,11 +408,12 @@ class TestRunGrid:
         assert streamed.getvalue() == saved.getvalue()
         assert seen == [(done, len(order), cell) for done, cell in enumerate(order, start=1)]
 
-    def test_chunked_pool_stops_promptly_on_sink_error(self, ar_split):
+    def test_chunked_pool_stops_promptly_on_sink_error(self, ar_split, monkeypatch):
         # 100 cells on 2 workers open with single cells that grow into
         # pieces of several: a sink that fails on the first record of the
         # first multi-cell piece must stop the sweep after the pieces
-        # already running, not after the ~50 cells per worker of the grid
+        # already running or queued, not after the ~50 cells per worker of
+        # the grid
         train_series, test_series = ar_split
         grid = small_grid(
             input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)),
@@ -428,27 +421,21 @@ class TestRunGrid:
         )
         sizes = [len(widths) for _, widths in _chunk_schedule(grid, 2)]
         fail_at = next(j for j, size in enumerate(sizes) if size > 1)  # single cells before it
-        started = time.perf_counter()
-        run_grid(train_series, test_series, grid, workers=2)
-        whole = time.perf_counter() - started
 
-        class Failing(Exception):
-            pass
+        def sweep(fail):
+            class FailingSink(io.StringIO):
+                cells = 0
 
-        class FailingSink(io.StringIO):
-            cells = 0
+                def write(self, text):
+                    if '"type": "cell"' in text:
+                        if self.cells == fail_at:
+                            fail()
+                        self.cells += 1
+                    return super().write(text)
 
-            def write(self, text):
-                if '"type": "cell"' in text:
-                    if self.cells == fail_at:
-                        raise Failing()
-                    self.cells += 1
-                return super().write(text)
-
-        started = time.perf_counter()
-        with pytest.raises(Failing):
             run_grid(train_series, test_series, grid, workers=2, sink=FailingSink())
-        assert time.perf_counter() - started < 0.5 * whole
+
+        assert_stops_promptly(monkeypatch, sweep)
 
     def test_pool_splits_one_input_level(self, ar_split):
         train_series, test_series = ar_split
@@ -473,6 +460,59 @@ class TestRunGrid:
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout == f"{method}: equal\n"
+
+
+def assert_stops_promptly(monkeypatch, sweep):
+    """Check that ``sweep(fail)``, a 2-worker ``run_grid`` whose sink or
+    progress hook calls ``fail``, stops promptly on pools of each start
+    method that starts workers differently: fork and forkserver.
+
+    ``fail`` counts the pieces the pool was given that are done, and those
+    running or queued: handed to the pool's call queue, from which no
+    cancel takes them back. Then it raises. The pieces that workers run
+    after the failure must be at most those running or queued at it, plus
+    an allowance: until the pool's manager thread sees the shutdown, it
+    keeps its call queue of workers + 1 pieces full, and each worker may
+    take one more piece from it, 2 * workers + 1 in all. Without the
+    cancel, every piece not yet started at the failure would run, and those
+    must outnumber the allowance for the check to see it.
+    """
+    workers = 2
+    allowance = 2 * workers + 1
+    for method in ("fork", "forkserver"):
+        if method not in multiprocessing.get_all_start_methods():
+            continue
+        futures, at_failure = [], []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=multiprocessing.get_context(method),
+                                 **kwargs)
+
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        class Failing(Exception):
+            pass
+
+        def fail():
+            done = sum(future.done() for future in futures)
+            started = sum(future.running() or future.done() for future in futures)
+            at_failure.extend((done, started))
+            raise Failing()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+            # a forkserver started here imports the fxcast under test
+            patch.setenv("PYTHONPATH", subprocess_env()["PYTHONPATH"])
+            with pytest.raises(Failing):
+                sweep(fail)
+        done, started = at_failure
+        # run_grid's shutdown waited for every piece it did not cancel
+        ran = sum(not future.cancelled() for future in futures)
+        assert ran - done <= started - done + allowance, method
+        assert len(futures) - started > allowance, method
 
 
 POOL_SCRIPT = """\
@@ -912,6 +952,16 @@ class TestReportPersistence:
                  id="horizon-4.9"),
     pytest.param(lambda: Architecture(True, 2), "input_count True is not an integer",
                  id="input_count-True"),
+    pytest.param(lambda: Architecture(0, 3), "input_count must be at least 1",
+                 id="input_count-0"),
+    pytest.param(lambda: Architecture(2, 0), "hidden_count must be at least 1",
+                 id="hidden_count-0"),
+    pytest.param(lambda: ColumnFormat(delimiter=5), "delimiter must be a one-character str",
+                 id="delimiter-5"),
+    pytest.param(lambda: ColumnFormat(value_col="1"), "value_col '1' is not an integer",
+                 id="value_col-str"),
+    pytest.param(lambda: ColumnFormat(date_col=1.5), "date_col 1.5 is not an integer",
+                 id="date_col-1.5"),
     pytest.param(lambda: TrainConfig(learning_rate="0.1"), "learning_rate '0.1' is not a number",
                  id="learning_rate-str"),
     pytest.param(lambda: TrainConfig(max_epochs=0), "max_epochs must be at least 1",

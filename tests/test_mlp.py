@@ -417,7 +417,7 @@ class TestTrainBlock:
     def test_overflowing_step_leaves_only_its_network(self):
         # A fits its targets exactly, so its gradient and step are 0; B's
         # first step at this learning rate overflows its parameters. B must
-        # leave the block diverged at epoch 0, and A redo that epoch and
+        # leave the block diverged at epoch 0, and A take that same step and
         # converge, each as train() gives it alone
         rng = np.random.default_rng(77)
         a = init_weights(Architecture(2, 3), 1, 0.5)
@@ -437,11 +437,11 @@ class TestTrainBlock:
             assert run.sse_trace.tobytes() == alone.sse_trace.tobytes()
             assert flatten_params(run.net).tobytes() == flatten_params(alone.net).tobytes()
 
-    def test_rebuild_keeps_the_initial_sse(self):
-        # A fits its targets exactly and meets the stop rule at epoch 1, so
-        # B goes on in a rebuilt block. B's SSE falls in epoch 1 and rises in
-        # epoch 2 to end below its initial SSE: B has not run away, though it
-        # ends above the SSE of the state the rebuilt block starts from
+    def test_runaway_judged_from_the_initial_sse(self):
+        # A fits its targets exactly and meets the stop rule at epoch 1,
+        # while B trains on. B's SSE falls in epoch 1 and rises in epoch 2 to
+        # end below its initial SSE: B has not run away, though it ends above
+        # the SSE it had when A left
         x = np.random.default_rng(183).uniform(0, 1, (5, 1))
         a = init_weights(Architecture(1, 2), 183, 2.0)
         b = init_weights(Architecture(1, 1), 184, 2.0)
@@ -453,6 +453,31 @@ class TestTrainBlock:
         first, last = runs[1].sse_trace
         assert first < last < sse(b, data)
         assert not runs[1].ran_away
+
+    def test_one_block_however_its_networks_leave(self, monkeypatch):
+        # C's first step overflows, A meets the stop rule at epoch 1 and B
+        # runs to the cap at epoch 2: the call builds one block, in which
+        # each network leaves as train() gives it alone
+        x = np.random.default_rng(183).uniform(0, 1, (5, 1))
+        a = init_weights(Architecture(1, 2), 183, 2.0)
+        b = init_weights(Architecture(1, 1), 184, 2.0)
+        c = Mlp(b.arch, b.hidden_weights, b.hidden_biases, b.output_weights, 1e308)
+        data = WindowedDataset(1, x, predict(a, x))
+        cfg = TrainConfig(learning_rate=0.15, max_epochs=2, min_sse_delta=1e-300)
+        blocks = []
+
+        class Recorded(fxcast.mlp._Block):
+            def __init__(self, *args):
+                super().__init__(*args)
+                blocks.append(self)
+
+        monkeypatch.setattr(fxcast.mlp, "_Block", Recorded)
+        runs = fxcast.mlp._train_block([a, b, c], data, cfg)
+        monkeypatch.undo()
+        assert len(blocks) == 1
+        assert [(run.epochs_run, run.diverged) for run in runs] == [(1, False), (2, False),
+                                                                    (0, True)]
+        assert runs == [train(net0, data, cfg) for net0 in (a, b, c)]
 
     def test_window_mismatch(self):
         data = make_windows(series_of(np.linspace(0.1, 0.9, 12)), 2)
@@ -481,9 +506,8 @@ class TestTrainBlock:
         runs = fxcast.mlp._train_block(nets0, data, cfg)
         monkeypatch.undo()
         assert all(size <= fxcast.mlp._BLOCK_BUDGET or len(hs) == 1 for hs, size in blocks)
-        assert [hs for hs, _ in blocks[:2]] == [(2, 3), (30,)]
+        assert [hs for hs, _ in blocks] == [(2, 3), (30,), (5, 8), (10, 1)]
         assert blocks[1][1] > fxcast.mlp._BLOCK_BUDGET
-        assert {(5, 8), (10, 1)} <= {hs for hs, _ in blocks}
         for net0, run in zip(nets0, runs, strict=True):
             alone = train(net0, data, cfg)
             assert run.diverged == alone.diverged
