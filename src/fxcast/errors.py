@@ -2,6 +2,7 @@
 them, and the opener, JSON parse and tag check of model and report files."""
 
 import json
+import math
 import numbers
 from contextlib import contextmanager
 from pathlib import Path
@@ -52,14 +53,35 @@ def _typed(value, kinds: tuple, what: str):
     return value
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number: a true, which float()
-    would take as 1.0, is rejected, and so is an integer beyond the float
-    range."""
+def _real(value, what: str) -> float:
+    """``value`` as a float: any numbers.Real, such as a numpy scalar, but a
+    bool, which float() would take as 1.0, or an int beyond the float range."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise DataError(f"{what} {value!r} is not a number")
     try:
-        return float(_typed(value, (int, float), what))
+        return float(value)
     except OverflowError:
-        raise ReportFormatError(f"{what} is an integer too large for a float") from None
+        raise DataError(f"{what} is an integer too large for a float") from None
+
+
+def _integers(record, names):
+    """Store the fields ``names`` of a frozen record as ints (``_integer``)."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:  # a computed or loaded value is one already
+            object.__setattr__(record, name, _integer(value, name))
+
+
+def _nonnegative(record, names):
+    """Store the fields ``names`` of a frozen record as floats (``_real``)
+    that are finite and >= 0."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not float:  # a computed or loaded value is one already
+            value = _real(value, name)
+            object.__setattr__(record, name, value)
+        if not 0.0 <= value < math.inf:  # a comparison, so that nan fails it
+            raise DataError(f"{name} {value!r} is not finite and >= 0")
 
 
 @contextmanager

@@ -7,7 +7,7 @@ import datetime
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, product
 from operator import attrgetter, itemgetter
 
@@ -20,8 +20,9 @@ from .errors import (
     _check_tag,
     _corrupt,
     _integer,
+    _integers,
     _json_object,
-    _number,
+    _nonnegative,
     _opened,
     _read_text,
     _typed,
@@ -65,7 +66,11 @@ class GridConfig:
         if type(self.scale) is not bool:
             raise DataError(f"scale {self.scale!r} is not a bool")
         for name in ("input_levels", "hidden_levels"):
-            levels = tuple(_integer(v, name) for v in getattr(self, name))
+            try:
+                levels = tuple(_integer(v, name) for v in getattr(self, name))
+            except TypeError:  # not iterable
+                raise DataError(f"{name} {getattr(self, name)!r} is not a sequence of "
+                                "integers") from None
             object.__setattr__(self, name, levels)
             if not levels:
                 raise DataError(f"{name} must be nonempty")
@@ -96,6 +101,10 @@ class CellResult:
     best_sse: float
     train_seconds: float = field(default=0.0, compare=False)
 
+    def __post_init__(self):
+        _integers(self, ("p", "h"))
+        _nonnegative(self, ("best_sse",))
+
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -105,11 +114,17 @@ class CellFailure:
     h: int
     error: str
 
+    def __post_init__(self):
+        _integers(self, ("p", "h"))
+        if type(self.error) is not str:
+            raise DataError(f"error {self.error!r} is not of type str")
+
 
 @dataclass(frozen=True)
 class GridReport:
     """Everything a sweep produced, plus the exact configuration that ran it:
-    the records of its report file, and nothing derived from them."""
+    the records of its report file, and nothing derived from them. The cells
+    and the failures are stored as tuples sorted by (p, h)."""
 
     cells: tuple
     failures: tuple
@@ -119,17 +134,16 @@ class GridReport:
     train_len: int
     test_len: int
 
-    @classmethod
-    def build(cls, cells, failures, random_walk_rows, config, series_name, train_len, test_len):
-        return cls(
-            cells=tuple(sorted(cells, key=attrgetter("p", "h"))),
-            failures=tuple(sorted(failures, key=attrgetter("p", "h"))),
-            random_walk_rows=tuple(random_walk_rows),
-            config=config,
-            series_name=series_name,
-            train_len=train_len,
-            test_len=test_len,
-        )
+    def __post_init__(self):
+        for name in ("cells", "failures"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name),
+                                                        key=attrgetter("p", "h"))))
+        object.__setattr__(self, "random_walk_rows", tuple(self.random_walk_rows))
+        if type(self.series_name) is not str:
+            raise DataError(f"series_name {self.series_name!r} is not of type str")
+        _integers(self, ("train_len", "test_len"))
+        if min(self.train_len, self.test_len) < 1:
+            raise DataError(f"lengths {self.train_len}, {self.test_len} are not both positive")
 
 
 def _mean(values) -> float:
@@ -355,10 +369,8 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
 
     cells = [v for v in items if isinstance(v, CellResult)]
     failures = [v for v in items if isinstance(v, CellFailure)]
-    return GridReport.build(
-        cells, failures, rw_rows, grid,
-        train_series.name, len(train_series), len(test_series),
-    )
+    return GridReport(cells, failures, rw_rows, grid,
+                      train_series.name, len(train_series), len(test_series))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +383,7 @@ def _row_to_json(row: MetricRow) -> dict:
 
 
 def _row_from_json(obj) -> MetricRow:
-    # a JSON float needs no check; anything else goes through _number
-    rmse = obj["rmse"]
-    rmse = rmse if type(rmse) is float else _number(rmse, "rmse")
-    mae = obj["mae"]
-    mae = mae if type(mae) is float else _number(mae, "mae")
-    mape = obj["mape"]
-    return MetricRow(rmse, mae, mape if type(mape) is float else _number(mape, "mape"))
+    return MetricRow(obj["rmse"], obj["mae"], obj["mape"])
 
 
 def _labelled_rows_to_json(rows) -> list:
@@ -471,13 +477,14 @@ def _read_report(source):
     """The header, the random-walk rows and the records of a report, or of a
     prefix of one, as save_report / run_grid write them.
 
-    Returns ((config, series name, train_len, test_len), the random-walk
+    Returns (the header as a GridReport with no records, the random-walk
     rows or None if the file has none, [CellResult or CellFailure, in file
     order]). Raises ReportVersionError for an unsupported version tag and
     ReportFormatError, naming the header or the line, for a corrupt payload:
-    a line that is not a record, a header value not of its JSON type, a cell
-    off the header's grid or repeated, and metric rows whose horizon labels
-    differ from the header's. It does not check that the records cover the grid.
+    a line that is not a record, a value its record rejects, a master seed
+    unlike train_cfg's, a cell off the header's grid or repeated, and metric
+    rows whose horizon labels differ from the header's. It does not check
+    that the records cover the grid.
     """
     text = _read_text(source, "report file")
     lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
@@ -491,11 +498,8 @@ def _read_report(source):
         if _typed(header["master_seed"], (int,), "master_seed") != config.train_cfg.master_seed:
             raise ReportFormatError(f"master_seed {header['master_seed']} differs from "
                                     f"train_cfg's {config.train_cfg.master_seed}")
-        series_name = _typed(header["series"], (str,), "series")
-        train_len = _typed(header["train_len"], (int,), "train_len")
-        test_len = _typed(header["test_len"], (int,), "test_len")
-        if min(train_len, test_len) < 1:
-            raise ReportFormatError(f"lengths {train_len}, {test_len} are not both positive")
+        report = GridReport((), (), (), config, header["series"], header["train_len"],
+                            header["test_len"])
     except _BUILD_ERRORS as exc:
         raise _corrupt("report header", exc) from None
 
@@ -509,16 +513,6 @@ def _read_report(source):
             raise ReportFormatError(f"horizon labels {found} differ from the header's {labels}")
         return rows
 
-    def grid_key(obj):
-        key = p, h = obj["p"], obj["h"]
-        # a JSON 1.0 or true equals the level 1 but is not one
-        if not (type(p) is int and type(h) is int) or key not in grid:
-            raise ReportFormatError(f"cell record {key} is off the header's grid")
-        if key in seen:
-            raise ReportFormatError(f"duplicate cell record {key}")
-        seen.add(key)
-        return key
-
     rw_rows = None
     records = []
     seen = set()
@@ -530,21 +524,24 @@ def _read_report(source):
                 if rw_rows is not None:
                     raise ReportFormatError("duplicate random_walk record")
                 rw_rows = horizon_rows(obj["rows"])
-            elif kind == "cell":
-                p, h = grid_key(obj)
-                best_sse = _number(obj["best_sse"], "best_sse")
-                if not 0.0 <= best_sse < np.inf:
-                    raise ReportFormatError(f"best_sse {best_sse!r} is not finite and >= 0")
-                records.append(CellResult(p, h, _row_from_json(obj["in_sample"]),
-                                          horizon_rows(obj["out_sample"]), best_sse))
+                continue
+            if kind == "cell":
+                record = CellResult(obj["p"], obj["h"], _row_from_json(obj["in_sample"]),
+                                    horizon_rows(obj["out_sample"]), obj["best_sse"])
             elif kind == "failure":
-                p, h = grid_key(obj)
-                records.append(CellFailure(p=p, h=h, error=_typed(obj["error"], (str,), "error")))
+                record = CellFailure(obj["p"], obj["h"], obj["error"])
             else:
                 raise ReportFormatError(f"unknown record type {kind!r}")
+            key = record.p, record.h
+            if key not in grid:
+                raise ReportFormatError(f"cell record {key} is off the header's grid")
+            if key in seen:
+                raise ReportFormatError(f"duplicate cell record {key}")
+            seen.add(key)
+            records.append(record)
         except _BUILD_ERRORS as exc:
             raise _corrupt(line, exc) from None
-    return (config, series_name, train_len, test_len), rw_rows, records
+    return report, rw_rows, records
 
 
 def load_report(source) -> GridReport:
@@ -554,16 +551,14 @@ def load_report(source) -> GridReport:
     header, rw_rows, records = _read_report(source)
     if rw_rows is None:
         raise ReportFormatError("missing random_walk record (truncated file?)")
-    expected = header[0].cell_count
+    expected = header.config.cell_count
     if len(records) != expected:
         raise ReportFormatError(
             f"truncated report: expected {expected} cell records, found {len(records)}"
         )
-    return GridReport.build(
-        [r for r in records if isinstance(r, CellResult)],
-        [r for r in records if isinstance(r, CellFailure)],
-        rw_rows, *header,
-    )
+    return replace(header, cells=[r for r in records if isinstance(r, CellResult)],
+                   failures=[r for r in records if isinstance(r, CellFailure)],
+                   random_walk_rows=rw_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _integer
+from .errors import DataError, _integer, _nonnegative
 from .series import _Record
 
 
@@ -46,10 +46,7 @@ class MetricRow:
     mape: float
 
     def __post_init__(self):
-        for field_name in ("rmse", "mae", "mape"):
-            value = getattr(self, field_name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DataError(f"{field_name} must be finite and nonnegative")
+        _nonnegative(self, ("rmse", "mae", "mape"))
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,11 @@ class HorizonSpec:
     windows: tuple = (("1m", 4), ("6m", 26), ("12m", 52))
 
     def __post_init__(self):
-        windows = tuple(self.windows)  # once, so that a generator works
+        try:  # once, so that a generator works
+            windows = tuple((label, n) for label, n in self.windows)
+        except (TypeError, ValueError):  # not iterable, or an item not a pair
+            raise DataError(f"horizon windows {self.windows!r} are not (label, length) "
+                            "pairs") from None
         if not all(isinstance(label, str) for label, _ in windows):
             raise DataError(f"horizon labels of {windows!r} are not all strings")
         object.__setattr__(self, "windows", tuple(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,9 +17,9 @@ from .errors import (
     _corrupt,
     _integer,
     _json_object,
-    _number,
     _opened,
     _read_text,
+    _real,
     _typed,
 )
 from .series import WindowedDataset, _Record
@@ -111,22 +110,10 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # ints are stored as int and other numbers but a Python int or float
-        # as float, so numpy scalars serialize; Python numbers keep their bytes
+        # stored as Python ints and floats, so numpy scalars serialize
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int:
-                value = _integer(value, f.name)
-            elif type(value) is bool or not isinstance(value, numbers.Real):
-                raise DataError(f"{f.name} {value!r} is not a number")
-            else:
-                try:
-                    as_float = float(value)  # what training computes with
-                except OverflowError:
-                    raise DataError(f"{f.name} is an integer too large for a float") from None
-                if type(value) not in (int, float):
-                    value = as_float
-            object.__setattr__(self, f.name, value)
+            check = _integer if type(f.default) is int else _real
+            object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
         # written as comparisons, so that nan fails them
         if not 0.0 < self.learning_rate < math.inf:
             raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
@@ -592,7 +579,7 @@ def load_model(source) -> Mlp:
     _check_tag(record, _MODEL_FORMAT, _MODEL_VERSION, "model", **_MODEL_ACTIVATIONS)
 
     def floats(values, what):
-        return [_number(v, what) for v in _typed(values, (list,), what)]
+        return [_real(v, what) for v in _typed(values, (list,), what)]
 
     try:
         rows = _typed(record["hidden_weights"], (list,), "hidden_weights")
@@ -601,7 +588,7 @@ def load_model(source) -> Mlp:
             hidden_weights=[floats(row, "hidden_weights") for row in rows],
             hidden_biases=floats(record["hidden_biases"], "hidden_biases"),
             output_weights=floats(record["output_weights"], "output_weights"),
-            output_bias=_number(record["output_bias"], "output_bias"),
+            output_bias=_real(record["output_bias"], "output_bias"),
         )
     except _BUILD_ERRORS as exc:
         raise _corrupt("model file", exc) from None

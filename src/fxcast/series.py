@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ParseError, _integer
+from .errors import DataError, ParseError, _integers, _real
 
 
 class _Record:
@@ -115,8 +115,7 @@ class ColumnFormat:
         if (not isinstance(self.delimiter, str) or len(self.delimiter) != 1
                 or self.delimiter in '\r\n"'):
             raise DataError("delimiter must be a one-character str, not a quote or line break")
-        for name in ("date_col", "value_col"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        _integers(self, ("date_col", "value_col"))
         if self.date_col < 0 or self.value_col < 0:
             raise DataError("column indices must be nonnegative")
 
@@ -244,8 +243,8 @@ class Scaler:
     max: float
 
     def __post_init__(self):
-        # float(), so that a numpy scalar's overflow gives inf without a warning
-        if not 0.0 < float(self.max) - float(self.min) < np.inf:
+        # as floats, so that a numpy scalar's overflow gives inf without a warning
+        if not 0.0 < _real(self.max, "max") - _real(self.min, "min") < np.inf:
             raise DataError(f"cannot scale the range [{self.min!r}, {self.max!r}]: "
                             "max - min must be positive and finite")
 

@@ -27,6 +27,7 @@ from fxcast import (
     Mlp,
     ReportFormatError,
     ReportVersionError,
+    Scaler,
     TimeSeries,
     TrainConfig,
     TrainResult,
@@ -787,6 +788,50 @@ class TestReportPersistence:
             assert a.in_sample.rmse == b.in_sample.rmse
             assert a.best_sse == b.best_sse
 
+    def test_random_records_round_trip(self):
+        # reports of random valid records load back equal and save to the
+        # same bytes: integer-valued and numpy metrics, numpy integer
+        # coordinates and lengths, and error texts that JSON must escape
+        rng = np.random.default_rng(24)
+        kinds = (lambda: float(rng.uniform(0.0, 10.0)), lambda: int(rng.integers(0, 100)),
+                 lambda: np.float64(rng.exponential()), lambda: np.int64(rng.integers(0, 9)),
+                 lambda: np.float32(rng.uniform()),
+                 lambda: float(rng.choice([0.0, 1e-300, 1e308])))
+
+        def value():
+            return kinds[rng.integers(len(kinds))]()
+
+        def rows():
+            return tuple((label, MetricRow(value(), value(), value()))
+                         for label in SHORT_HORIZONS.labels)
+
+        for _ in range(30):
+            inputs = tuple(range(1, int(rng.integers(2, 5))))
+            hidden = tuple(sorted(rng.choice(np.arange(1, 9), int(rng.integers(1, 4)), False)))
+            cfg = TrainConfig(learning_rate=int(rng.integers(1, 3)), max_epochs=np.int64(5),
+                              init_half_width=np.float32(0.25), master_seed=np.int64(3))
+            grid = GridConfig(input_levels=inputs, hidden_levels=hidden, train_cfg=cfg,
+                              horizon_spec=SHORT_HORIZONS)
+            cells, failures = [], []
+            for p in inputs:
+                for h in hidden:
+                    p, h = (np.int64(p), h) if rng.random() < 0.5 else (p, np.int64(h))
+                    if rng.random() < 0.3:
+                        failures.append(CellFailure(p, h, f'fail\n "{p}" \u00e9'))
+                    else:
+                        cells.append(CellResult(p, h, MetricRow(value(), value(), value()),
+                                                rows(), value()))
+            rng.shuffle(cells)
+            report = GridReport(cells, failures, rows(), grid, "unit \u00e9",
+                                np.int64(100), np.int32(8))
+            first = io.StringIO()
+            save_report(report, first)
+            loaded = load_report(io.StringIO(first.getvalue()))
+            assert loaded == report
+            second = io.StringIO()
+            save_report(loaded, second)
+            assert second.getvalue() == first.getvalue()
+
     def test_truncated_rejected(self, ar_split):
         train_series, test_series = ar_split
         report = run_grid(train_series, test_series, small_grid())
@@ -831,7 +876,7 @@ class TestReportPersistence:
         cell = CellResult(p=1, h=2, in_sample=MetricRow(1.0, 1.0, 1.0),
                           out_sample=rw_rows, best_sse=1.0)
         failure = CellFailure(p=2, h=2, error="all 2 restarts diverged")
-        report = GridReport.build([cell], [failure], rw_rows, grid, "unit", 110, 10)
+        report = GridReport([cell], [failure], rw_rows, grid, "unit", 110, 10)
         buffer = io.StringIO()
         save_report(report, buffer)
         return buffer.getvalue().splitlines(keepends=True)
@@ -964,6 +1009,16 @@ class TestReportPersistence:
                  id="date_col-1.5"),
     pytest.param(lambda: TrainConfig(learning_rate="0.1"), "learning_rate '0.1' is not a number",
                  id="learning_rate-str"),
+    pytest.param(lambda: GridConfig(input_levels=5), "input_levels 5 is not a sequence",
+                 id="input_levels-int"),
+    pytest.param(lambda: GridConfig(hidden_levels=None), "hidden_levels None is not a sequence",
+                 id="hidden_levels-None"),
+    pytest.param(lambda: HorizonSpec("ab"), "horizon windows 'ab' are not (label, length) pairs",
+                 id="horizon-str"),
+    pytest.param(lambda: HorizonSpec([("1m",)]), "horizon windows [('1m',)] are not",
+                 id="horizon-not-pair"),
+    pytest.param(lambda: HorizonSpec(5), "horizon windows 5 are not", id="horizon-int"),
+    pytest.param(lambda: Scaler("a", 1.0), "min 'a' is not a number", id="scaler-min-str"),
     pytest.param(lambda: TrainConfig(max_epochs=0), "max_epochs must be at least 1",
                  id="max_epochs-0"),
     pytest.param(lambda: TrainConfig(restarts=0), "restarts must be at least 1", id="restarts-0"),
@@ -979,6 +1034,73 @@ class TestReportPersistence:
 def test_config_types_checked_at_construction(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()
+
+
+ROW = MetricRow(1.0, 1.0, 1.0)
+
+
+def cell_with(**changes):
+    return CellResult(**{"p": 1, "h": 2, "in_sample": ROW, "out_sample": (("1w", ROW),),
+                         "best_sse": 1.0, **changes})
+
+
+def report_with(**changes):
+    return GridReport(**{"cells": (), "failures": (), "random_walk_rows": (),
+                         "config": GridConfig(), "series_name": "unit", "train_len": 10,
+                         "test_len": 5, **changes})
+
+
+# Each report record checks its own fields, whether it is built in code or
+# read from a report, so that save_report writes only what load_report reads.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: MetricRow(True, 1.0, 1.0), "rmse True is not a number", id="rmse-True"),
+    pytest.param(lambda: MetricRow(1.0, "1", 1.0), "mae '1' is not a number", id="mae-str"),
+    pytest.param(lambda: MetricRow(1.0, 1.0, 10**400), "mape is an integer too large for a float",
+                 id="mape-10**400"),
+    pytest.param(lambda: MetricRow(-1, 1.0, 1.0), "rmse -1.0 is not finite and >= 0",
+                 id="rmse-negative"),
+    pytest.param(lambda: MetricRow(1.0, math.nan, 1.0), "mae nan is not finite and >= 0",
+                 id="mae-nan"),
+    pytest.param(lambda: cell_with(p=1.0), "p 1.0 is not an integer", id="cell-p-float"),
+    pytest.param(lambda: cell_with(h=True), "h True is not an integer", id="cell-h-True"),
+    pytest.param(lambda: cell_with(best_sse=-1.0), "best_sse -1.0 is not finite and >= 0",
+                 id="best_sse-negative"),
+    pytest.param(lambda: cell_with(best_sse=math.nan), "best_sse nan is not finite and >= 0",
+                 id="best_sse-nan"),
+    pytest.param(lambda: cell_with(best_sse=math.inf), "best_sse inf is not finite and >= 0",
+                 id="best_sse-inf"),
+    pytest.param(lambda: cell_with(best_sse=False), "best_sse False is not a number",
+                 id="best_sse-False"),
+    pytest.param(lambda: CellFailure(p=2.0, h=2, error="x"), "p 2.0 is not an integer",
+                 id="failure-p-float"),
+    pytest.param(lambda: CellFailure(p=1, h=False, error="x"), "h False is not an integer",
+                 id="failure-h-False"),
+    pytest.param(lambda: CellFailure(p=1, h=2, error=None), "error None is not of type str",
+                 id="error-None"),
+    pytest.param(lambda: CellFailure(p=1, h=2, error=5), "error 5 is not of type str",
+                 id="error-int"),
+    pytest.param(lambda: report_with(series_name=5), "series_name 5 is not of type str",
+                 id="series_name-int"),
+    pytest.param(lambda: report_with(train_len=2.0), "train_len 2.0 is not an integer",
+                 id="train_len-float"),
+    pytest.param(lambda: report_with(test_len=0), "lengths 10, 0 are not both positive",
+                 id="test_len-0"),
+])
+def test_report_records_checked_at_construction(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        build()
+
+
+def test_records_store_plain_numbers():
+    # numpy numbers are stored as the Python int or float that json writes
+    cell = cell_with(p=np.int64(1), h=np.int32(2), in_sample=MetricRow(np.float32(0.5), 1, 2),
+                     best_sse=np.float64(3.0))
+    assert [type(v) for v in (cell.p, cell.h, cell.best_sse)] == [int, int, float]
+    assert [type(v) for v in (cell.in_sample.rmse, cell.in_sample.mae)] == [float, float]
+    report = report_with(cells=[cell_with(h=3), cell], random_walk_rows=[("1w", ROW)],
+                         train_len=np.int64(10))
+    assert [c.h for c in report.cells] == [2, 3] and type(report.train_len) is int
+    assert type(report.cells) is tuple and type(report.random_walk_rows) is tuple
 
 
 def tiny_report():
@@ -1002,7 +1124,7 @@ def tiny_report():
         input_levels=(1, 2, 3), hidden_levels=(2, 3), train_cfg=FAST_TRAIN,
         horizon_spec=SHORT_HORIZONS,
     )
-    return GridReport.build(cells, failures, rw, cells_cfg, "unit", 110, 10)
+    return GridReport(cells, failures, rw, cells_cfg, "unit", 110, 10)
 
 
 def all_failed_report():
@@ -1011,7 +1133,7 @@ def all_failed_report():
                 for p in (1, 2)]
     grid = GridConfig(input_levels=(1, 2), hidden_levels=(4,), train_cfg=FAST_TRAIN,
                       horizon_spec=SHORT_HORIZONS)
-    return GridReport.build([], failures, rw, grid, "unit", 60, 10)
+    return GridReport([], failures, rw, grid, "unit", 60, 10)
 
 
 # The exact text of every view of both reports: column widths, 8-decimal
