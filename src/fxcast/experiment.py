@@ -91,7 +91,9 @@ class CellResult:
     ``train_seconds`` is wall-clock bookkeeping: it is excluded from equality
     and never persisted, so report files stay reproducible run to run. It
     is the cell's share, by hidden rows (h + 1), of the wall time of the
-    piece it was scored in, from windowing to scoring (``_cell_records``).
+    piece it was scored in, from windowing to scoring (``_cell_records``):
+    a piece of ``_chunk_schedule`` at any worker count, or the whole
+    ``evaluate_cell`` call.
     """
 
     p: int
@@ -255,10 +257,11 @@ def random_walk_rows(train_series: TimeSeries, test_series: TimeSeries,
 
 def _level_cells(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig,
                  p: int, widths) -> list:
-    """The records of the cells (p, h) for each h of ``widths``, one piece
-    of an input level, on ``evaluate_cell``'s path: the widths share one
-    ``_cell_windows``, ``mlp._restart_searches`` trains all their restarts
-    in one call, and ``_cell_records`` scores the winners together."""
+    """The records of the cells (p, h) for each h of ``widths``, one task
+    of ``_chunk_schedule``, run in the sweeping process or a pool worker,
+    on ``evaluate_cell``'s path: the widths share one ``_cell_windows``,
+    ``mlp._restart_searches`` trains all their restarts in one call, and
+    ``_cell_records`` scores the winners together."""
     started = time.perf_counter()
     try:
         windows = _cell_windows(train_series, test_series, p, grid.scale)
@@ -283,16 +286,18 @@ def _worker_task(task) -> list:
 
 
 def _chunk_schedule(grid: GridConfig, workers: int) -> list:
-    """The tasks of a sweep on a pool of ``workers``, in (p, h) order: each
-    a (p, widths) piece of one input level.
+    """The tasks of a sweep on ``workers`` processes, serial at 1, in
+    (p, h) order: each a (p, widths) piece of one input level.
 
     A piece takes 1/workers of the cells scheduled before it or of the
     cells left, whichever is fewer, at least one, but ends at the end of
     its level. So the first pieces are single cells that double in size
     (a failing sink, callback or worker stops the sweep after a few cells),
     the middle of a large grid runs as whole input levels, whose cells
-    share their windows and scoring in one task, and the last pieces shrink
-    back to single cells, so the workers finish close together.
+    share their windows and scoring in one task, and on a pool the last
+    pieces shrink back to single cells, so the workers finish close
+    together. At one worker, from the second level on, both counts are at
+    least a level, so every level after the first runs whole.
     """
     tasks, done = [], 0
     for p in grid.input_levels:
@@ -308,25 +313,26 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
              workers: int = 1, sink=None, progress=None) -> GridReport:
     """Evaluate every (p, h) cell of the grid and assemble the report.
 
-    The grid runs as tasks, each a (p, widths) piece of one input level
-    that ``_level_cells`` runs: serially one task per whole level, or, when
-    ``workers`` > 1, the tasks of ``_chunk_schedule`` (single cells that
-    grow to whole levels, then shrink back to single cells at the end of
-    the grid) on a process pool of at most one process per task. The sweep
-    inputs (both series and the grid) go to each worker once, when it
-    starts, and each task carries only its (p, widths) pair. Within a task
-    the cells share their windows, training and scoring, on the path that
-    ``evaluate_cell`` takes for one cell; a cell's ``train_seconds`` is its
-    share, by hidden rows (h + 1), of the task's wall time. Blocking only
-    saves numpy calls: every network gets the bits that ``train`` gives it
-    alone, every cell the metrics that scoring it alone gives, and restart
-    seeds depend only on (master_seed, p, h, restart), so the output is
-    identical at any worker count and equals ``evaluate_cell`` cell by cell.
+    The grid runs as the tasks of ``_chunk_schedule(grid, workers)``, each
+    a (p, widths) piece of one input level that ``_level_cells`` runs:
+    single cells that grow to whole levels (and, on a pool, shrink back to
+    single cells at the end of the grid). At one worker the tasks run in
+    this process; otherwise on a process pool of at most one process per
+    task, to each of which the sweep inputs (both series and the grid) go
+    once, when it starts, so each task carries only its (p, widths) pair.
+    Within a task the cells share their windows, training and scoring, on
+    the path that ``evaluate_cell`` takes for one cell; a cell's
+    ``train_seconds`` is its share, by hidden rows (h + 1), of the task's
+    wall time. Blocking only saves numpy calls: every network gets the bits
+    that ``train`` gives it alone, every cell the metrics that scoring it
+    alone gives, and restart seeds depend only on (master_seed, p, h,
+    restart), so the output is identical at any worker count and equals
+    ``evaluate_cell`` cell by cell.
 
     Results are read back in (p, h) order: a cell's record goes to ``sink``
     and ``progress`` once its task and every task before it are done, so
-    a serial sweep reports one input level at a time. With ``sink`` set, an
-    interrupted sweep leaves a valid prefix.
+    the first record of any sweep comes after one cell. With ``sink`` set,
+    an interrupted sweep leaves a valid prefix.
 
     Per-cell failures (e.g. every restart diverged or ran away) are recorded in the
     report instead of aborting the remaining cells.
@@ -341,15 +347,15 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
         writer.random_walk(rw_rows)
 
     sweep = (train_series, test_series, grid)
+    tasks = _chunk_schedule(grid, workers)
     pool = None
     if workers == 1:
-        pieces = (_level_cells(*sweep, p, grid.hidden_levels) for p in grid.input_levels)
+        pieces = (_level_cells(*sweep, *task) for task in tasks)
     else:
         # imported here, so that a serial sweep or a CLI command without a
         # pool does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = _chunk_schedule(grid, workers)
         pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                    initializer=_start_worker, initargs=(sweep,))
         pieces = pool.map(_worker_task, tasks)

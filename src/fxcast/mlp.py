@@ -27,17 +27,20 @@ from .series import WindowedDataset, _Record
 _SEED_MASK = (1 << 64) - 1
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overwrite ``z`` with its logistic function, in place.
+def _sigmoid(neg_z: np.ndarray) -> np.ndarray:
+    """Overwrite ``neg_z``, the negated pre-activations -z, with the logistic
+    function of z, 1/(1 + exp(-z)), in place.
 
-    The exp overflows for very negative z, and 1/(1+inf) -> 0 is exactly the
-    right limit; callers run this under ``np.errstate(over="ignore")``, which
-    costs too much to enter per epoch.
+    The block's inputs are stored negated (``_Block``), so the hidden
+    products give -z and no pass negates them; negation rounds exactly, so
+    these are the bits of the logistic of z. The exp overflows for very
+    negative z, and 1/(1+inf) -> 0 is exactly the right limit; callers run
+    this under ``np.errstate(over="ignore")``, which costs too much to enter
+    per epoch.
     """
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.reciprocal(z, out=z)
+    np.exp(neg_z, out=neg_z)
+    neg_z += 1.0
+    return np.reciprocal(neg_z, out=neg_z)
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,11 @@ class _Block:
     over a unit block that includes its ones row, rounds differently, and a
     network must give in a block the bits it gives alone.
 
+    ``inputs_t`` holds the inputs transposed and negated, -x, over a row of
+    -1.0 that the hidden biases multiply, so the hidden products are the
+    negated pre-activations -z that ``_sigmoid`` takes. Rounding is
+    symmetric in sign, so -z has the bits of z negated.
+
     With ``targets`` the block also holds the training intermediates and a
     copy of the targets per network. Reallocating them every epoch costs ~3x
     the arithmetic itself (large blocks come straight from mmap and fault in
@@ -239,8 +247,8 @@ class _Block:
             start += h + 1
         self.rows, self.input_count = start, p
         self.inputs_t = _empty(p + 1, n)
-        self.inputs_t[:p] = inputs.T
-        self.inputs_t[p] = 1.0
+        np.negative(inputs.T, out=self.inputs_t[:p])
+        self.inputs_t[p] = -1.0
         self.hidden = _empty(self.rows, n)
         self.hidden.fill(1.0)  # the ones rows; no sigmoid reads uninitialised memory
         self.active = self.hidden[:-1]
@@ -260,6 +268,7 @@ class _Block:
         self.scaled = _empty(len(self.spans), p + 1, n)
         self.slope = _empty(*self.active.shape)
         self.grad = _Params(self)
+        self.neg_w2_col = np.empty((self.rows, 1))
         # the backward pass's per-network operands and outputs
         self.grad_products = list(zip(
             self.extended, self.out, self.grad.w2s,
@@ -315,7 +324,8 @@ class _Params:
 def _forward(params: _Params, block: _Block) -> np.ndarray:
     """Outputs of every network of the block, one row per network.
 
-    The sigmoid runs in place over the hidden pre-activations, and over the
+    The sigmoid runs in place over the negated hidden pre-activations that
+    the products with the negated inputs give (``_Block``), and over the
     ones rows of all networks but the last, which are then set back to 1.0.
     Training and prediction share this one routine, so a trained network's
     SSE and the SSE recomputed from its predictions round identically.
@@ -367,7 +377,10 @@ def _sse_and_gradient(params: _Params, block: _Block) -> list:
     S the hidden slopes, the hidden-layer gradient is
     w2_j * sum_n S[j, n] * d[n] * x[n]: d scales the (p + 1, n) inputs
     rather than the (h, n) slopes, and w2 scales the (h, p + 1) product, so
-    no (h, n) outer product is formed.
+    no (h, n) outer product is formed. The block's inputs are -x
+    (``_Block``), so the product is the negated sum, and -w2 scales it: one
+    negation of a rows-long vector per evaluation, and no pass over an
+    (., n) array. Negation rounds exactly, so the bits are the formula's.
     """
     delta = _forward(params, block)
     np.subtract(delta, block.targets, out=delta)
@@ -380,7 +393,7 @@ def _sse_and_gradient(params: _Params, block: _Block) -> list:
     for hidden, d, g2, s, x_t, g1 in block.grad_products:
         np.dot(hidden, d, out=g2)
         np.dot(s, x_t, out=g1)
-    block.grad.w1 *= params.w2_col
+    block.grad.w1 *= np.negative(params.w2_col, out=block.neg_w2_col)
     return block.sse.tolist()
 
 
@@ -428,7 +441,9 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     diverges or meets the stop rule gets its TrainRun from the state it
     leaves with, and its rows become the zero network on zero targets, whose
     gradient and step are exactly 0. No network reads another's rows, so the
-    others go on with the bits they have alone."""
+    others go on with the bits they have alone. The networks still in the
+    block at the epoch cap get theirs from the last state and are not
+    frozen, since the block is dropped."""
     lr, min_delta = cfg.learning_rate, cfg.min_sse_delta
     block = _Block(data.inputs, [net.arch.hidden_count for net in nets0], data.targets)
     params, trial = block.params(nets0), block.params()
@@ -437,11 +452,14 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     traces = [[] for _ in nets0]
     live = len(nets0)
 
+    def run_of(k, state, value, diverged):
+        return TrainRun(net=Mlp(nets0[k].arch, *state.layers(k)), sse=value,
+                        sse_trace=traces[k], diverged=diverged,
+                        ran_away=not diverged and value > initial[k])
+
     def leave(k, state, value, diverged):
         nonlocal live
-        runs[k] = TrainRun(net=Mlp(nets0[k].arch, *state.layers(k)), sse=value,
-                           sse_trace=traces[k], diverged=diverged,
-                           ran_away=not diverged and value > initial[k])
+        runs[k] = run_of(k, state, value, diverged)
         for rows in (params.w1s, params.w2s, trial.w1s, trial.w2s, block.grad.w1s,
                      block.grad.w2s, block.targets):
             rows[k].fill(0.0)
@@ -472,10 +490,8 @@ def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
                     leave(k, trial, value, False)
             params, trial = trial, params
             sse_prev = sse_new
-        for k, run in enumerate(runs):
-            if run is None:
-                leave(k, params, sse_prev[k], False)
-    return runs
+    return [run if run is not None else run_of(k, params, sse_prev[k], False)
+            for k, run in enumerate(runs)]
 
 
 def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:

@@ -390,6 +390,35 @@ class TestRunGrid:
 
         assert_stops_promptly(monkeypatch, sweep)
 
+    @pytest.mark.parametrize("hook", ["sink", "progress"])
+    def test_serial_sweep_stops_after_one_cell_on_error(self, ar_split, monkeypatch, hook):
+        # a serial sweep runs the pool's pieces, the first of them one cell:
+        # a sweep that fails on its first cell record has trained one width,
+        # not the four of the first input level
+        trained = []
+        searches = experiment._restart_searches
+
+        def counted(archs, data, cfg):
+            trained.extend(archs)
+            return searches(archs, data, cfg)
+
+        monkeypatch.setattr(experiment, "_restart_searches", counted)
+
+        def fail(*_):
+            raise OSError("disk full")
+
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if '"type": "cell"' in text:
+                    fail()
+                return super().write(text)
+
+        hooks = {"sink": FailingSink(), "progress": fail}
+        grid = small_grid(hidden_levels=(2, 3, 4, 5))
+        with pytest.raises(OSError, match="disk full"):
+            run_grid(*ar_split, grid, workers=1, **{hook: hooks[hook]})
+        assert trained == [Architecture(1, 2)]
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunked_pool_matches_serial(self, ar_split, workers):
         train_series, test_series = ar_split
@@ -639,14 +668,11 @@ class TestCellSeconds:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_level_time_split_by_hidden_rows(self, ar_split, workers):
         train_series, test_series = ar_split
-        # 80 cells on 2 workers run in pieces of 1 to 20 cells
+        # 80 cells run in pieces of 1 to 20 cells at either worker count
         grid = small_grid(input_levels=(1, 2, 3, 4), hidden_levels=tuple(range(1, 21)),
                           train_cfg=TrainConfig(max_epochs=5, restarts=1))
-        if workers == 1:
-            tasks = [(p, grid.hidden_levels) for p in grid.input_levels]
-        else:
-            tasks = _chunk_schedule(grid, workers)
-            assert max(len(widths) for _, widths in tasks) > 1
+        tasks = _chunk_schedule(grid, workers)
+        assert max(len(widths) for _, widths in tasks) > 1
         cells = {(c.p, c.h): c for c in run_grid(train_series, test_series, grid,
                                                  workers=workers).cells}
         assert len(cells) == grid.cell_count
@@ -735,6 +761,7 @@ class TestLevelScoring:
 
 @pytest.mark.parametrize("cells, workers", [
     (1, 2), (30, 3), (40, 2), (63, 2), (64, 2), (100, 3), (1000, 2), (1000, 8), (5000, 2),
+    (1, 1), (30, 1), (50, 1), (1000, 1),
 ])
 def test_chunk_schedule(cells, workers):
     # the cells as one level per cell, as levels of 10 widths, and as one level
@@ -753,7 +780,10 @@ def test_chunk_schedule(cells, workers):
             share = max(1, min(done, cells - done) // workers)
             assert len(piece) == share or (len(piece) < share and piece[-1] == widths)
             done += len(piece)
-        assert len(tasks[0][1]) == len(tasks[-1][1]) == 1
+        assert len(tasks[0][1]) == 1
+        if workers > 1:
+            # a serial sweep has no workers to finish together
+            assert len(tasks[-1][1]) == 1
         if len(grid.input_levels) == 1 and cells > 1:
             # one level still splits, so every worker gets work
             assert len(tasks) > workers
@@ -767,6 +797,13 @@ def test_chunk_schedule_runs_whole_levels_between_growth_and_tail():
     for p in range(3, 40):
         assert [widths for q, widths in tasks if q == p] == [grid.hidden_levels]
     assert len(tasks) == 54
+
+
+def test_serial_schedule_of_the_paper_grid():
+    # a serial sweep of the paper's grid waits one width for its first record
+    tasks = _chunk_schedule(GridConfig(), 1)
+    assert tasks == [(1, (6,)), (1, (12,)), (1, (18, 24)), (1, (30,)),
+                     *((p, (6, 12, 18, 24, 30)) for p in range(2, 11))]
 
 
 class TestReportPersistence:
