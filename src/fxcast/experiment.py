@@ -7,9 +7,9 @@ import datetime
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain, product
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class CellResult:
     def __post_init__(self):
         _integers(self, ("p", "h"))
         _nonnegative(self, ("best_sse",))
+        if type(self.in_sample) is not MetricRow:
+            raise DataError(f"in_sample {self.in_sample!r} is not a MetricRow")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,16 @@ class CellFailure:
 @dataclass(frozen=True)
 class GridReport:
     """Everything a sweep produced, plus the exact configuration that ran it:
-    the records of its report file, and nothing derived from them. The cells
-    and the failures are stored as tuples sorted by (p, h)."""
+    the records of its report file, and nothing derived from them.
+
+    The cells (CellResults) and the failures (CellFailures) are stored as
+    tuples sorted by (p, h), and the random-walk rows, empty or a
+    (label, MetricRow) pair under each of the config's horizon labels in
+    order, as a tuple; each cell's out-of-sample rows must be such a tuple
+    too. Anything else is a DataError. A report may be partial, a prefix of
+    a sweep with no random-walk rows or not every cell; ``save_report`` and
+    ``render_table`` take a whole one (``_cell_map``).
+    """
 
     cells: tuple
     failures: tuple
@@ -137,15 +147,36 @@ class GridReport:
     test_len: int
 
     def __post_init__(self):
-        for name in ("cells", "failures"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name),
-                                                        key=attrgetter("p", "h"))))
-        object.__setattr__(self, "random_walk_rows", tuple(self.random_walk_rows))
         if type(self.series_name) is not str:
             raise DataError(f"series_name {self.series_name!r} is not of type str")
         _integers(self, ("train_len", "test_len"))
         if min(self.train_len, self.test_len) < 1:
             raise DataError(f"lengths {self.train_len}, {self.test_len} are not both positive")
+        if not isinstance(self.config, GridConfig):
+            raise DataError(f"config {self.config!r} is not a GridConfig")
+        for name, kind in (("cells", CellResult), ("failures", CellFailure)):
+            records = tuple(getattr(self, name))
+            stray = next((record for record in records if not isinstance(record, kind)), None)
+            if stray is not None:
+                raise DataError(f"{name} holds {stray!r}, which is not a {kind.__name__}")
+            object.__setattr__(self, name, tuple(sorted(records, key=attrgetter("p", "h"))))
+        object.__setattr__(self, "random_walk_rows", tuple(self.random_walk_rows))
+        labels = self.config.horizon_spec.labels
+        if self.random_walk_rows:
+            _check_rows(self.random_walk_rows, labels)
+        for cell in self.cells:
+            _check_rows(cell.out_sample, labels)
+
+
+def _check_rows(rows: tuple, labels: tuple):
+    """DataError unless ``rows`` is a tuple of a (label, MetricRow) pair
+    under each of ``labels``, in order."""
+    found = [pair[0] if type(pair) is tuple and len(pair) == 2 and type(pair[1]) is MetricRow
+             else None for pair in rows] if type(rows) is tuple else [None]
+    if None in found:
+        raise DataError(f"rows {rows!r} are not a tuple of (label, MetricRow) pairs")
+    if found != list(labels):
+        raise DataError(f"horizon labels {found} differ from the header's {list(labels)}")
 
 
 def _mean(values) -> float:
@@ -467,30 +498,59 @@ class _ReportWriter:
 
 
 def save_report(report: GridReport, sink):
-    """Write a complete report in the streaming line format, to a path or a
-    text stream."""
+    """Write a whole report (``_cell_map``) in the streaming line format, to
+    a path or a text stream, in (p, h) order. Raises the DataError of a
+    report that is not whole before it opens ``sink``."""
+    records = _cell_map(report).values()
     with _opened(sink, "w") as handle:
         writer = _ReportWriter(handle)
         writer.header(report.config, report.series_name, report.train_len, report.test_len)
         writer.random_walk(report.random_walk_rows)
-        for item in sorted(
-            list(report.cells) + list(report.failures), key=lambda r: (r.p, r.h)
-        ):
+        for item in records:
             writer.record(item)
 
 
-def _read_report(source):
-    """The header, the random-walk rows and the records of a report, or of a
-    prefix of one, as save_report / run_grid write them.
+def _place(placed: dict, record):
+    """Put a cell record at its (p, h) in ``placed``, whose keys are the
+    cells of a grid and whose values are None until a record is placed:
+    DataError if the cell is off the grid or already has a record."""
+    key = record.p, record.h
+    if key not in placed:
+        raise DataError(f"cell record {key} is off the header's grid")
+    if placed[key] is not None:
+        raise DataError(f"duplicate cell record {key}")
+    placed[key] = record
 
-    Returns (the header as a GridReport with no records, the random-walk
-    rows or None if the file has none, [CellResult or CellFailure, in file
-    order]). Raises ReportVersionError for an unsupported version tag and
+
+def _cell_map(report: GridReport) -> dict:
+    """{(p, h): CellResult or CellFailure} over the report's whole grid, in
+    (p, h) order: the one rule of a whole report, which ``save_report``,
+    ``load_report`` and ``render_table`` apply. Raises DataError naming the
+    missing random-walk rows, or the first off-grid or repeated record (in
+    the order of the cells, then the failures) or the first cell without
+    one."""
+    if not report.random_walk_rows:
+        raise DataError("missing random_walk record")
+    placed = dict.fromkeys(product(report.config.input_levels, report.config.hidden_levels))
+    for record in chain(report.cells, report.failures):
+        _place(placed, record)
+    missing = next((key for key, record in placed.items() if record is None), None)
+    if missing is not None:
+        raise DataError(f"truncated report: no record of cell {missing}")
+    return placed
+
+
+def _read_report(source) -> GridReport:
+    """The report in a file as save_report / run_grid write it, or the
+    partial report in a prefix of one: its random-walk rows are empty if the
+    file has none, and it holds the cell records the file holds.
+
+    Raises ReportVersionError for an unsupported version tag and
     ReportFormatError, naming the header or the line, for a corrupt payload:
     a line that is not a record, a value its record rejects, a master seed
-    unlike train_cfg's, a cell off the header's grid or repeated, and metric
-    rows whose horizon labels differ from the header's. It does not check
-    that the records cover the grid.
+    unlike train_cfg's, a cell off the header's grid or repeated
+    (``_place``), and metric rows whose horizon labels differ from the
+    header's. It does not check that the records cover the grid.
     """
     text = _read_text(source, "report file")
     lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
@@ -509,62 +569,50 @@ def _read_report(source):
     except _BUILD_ERRORS as exc:
         raise _corrupt("report header", exc) from None
 
-    grid = {(p, h) for p in config.input_levels for h in config.hidden_levels}
-    labels = list(config.horizon_spec.labels)
-
     def horizon_rows(obj):
         rows = tuple([(label, _row_from_json(row)) for label, row in obj])
-        found = list(map(itemgetter(0), rows))
-        if found != labels:
-            raise ReportFormatError(f"horizon labels {found} differ from the header's {labels}")
+        _check_rows(rows, config.horizon_spec.labels)
         return rows
 
-    rw_rows = None
-    records = []
-    seen = set()
+    rw_rows = ()
+    placed = dict.fromkeys(product(config.input_levels, config.hidden_levels))
     for line, text in lines[1:]:
         obj = _json_object(text, line)
         kind = obj.get("type")
         try:
             if kind == "random_walk":
-                if rw_rows is not None:
+                if rw_rows:
                     raise ReportFormatError("duplicate random_walk record")
                 rw_rows = horizon_rows(obj["rows"])
-                continue
-            if kind == "cell":
-                record = CellResult(obj["p"], obj["h"], _row_from_json(obj["in_sample"]),
-                                    horizon_rows(obj["out_sample"]), obj["best_sse"])
+            elif kind == "cell":
+                _place(placed, CellResult(obj["p"], obj["h"], _row_from_json(obj["in_sample"]),
+                                          horizon_rows(obj["out_sample"]), obj["best_sse"]))
             elif kind == "failure":
-                record = CellFailure(obj["p"], obj["h"], obj["error"])
+                _place(placed, CellFailure(obj["p"], obj["h"], obj["error"]))
             else:
                 raise ReportFormatError(f"unknown record type {kind!r}")
-            key = record.p, record.h
-            if key not in grid:
-                raise ReportFormatError(f"cell record {key} is off the header's grid")
-            if key in seen:
-                raise ReportFormatError(f"duplicate cell record {key}")
-            seen.add(key)
-            records.append(record)
         except _BUILD_ERRORS as exc:
             raise _corrupt(line, exc) from None
-    return report, rw_rows, records
+    # each record passed GridReport's checks on its line, and the map holds
+    # them in (p, h) order: hand them to the header's report once, not
+    # through a second pass of those checks
+    for name, kind in (("cells", CellResult), ("failures", CellFailure)):
+        object.__setattr__(report, name, tuple(r for r in placed.values() if isinstance(r, kind)))
+    object.__setattr__(report, "random_walk_rows", rw_rows)
+    return report
 
 
 def load_report(source) -> GridReport:
-    """Read a report written by save_report / run_grid, from a path or a
-    text stream. Raises what ``_read_report`` raises, and ReportFormatError
-    for a report that lacks its random-walk record or a cell of its grid."""
-    header, rw_rows, records = _read_report(source)
-    if rw_rows is None:
-        raise ReportFormatError("missing random_walk record (truncated file?)")
-    expected = header.config.cell_count
-    if len(records) != expected:
-        raise ReportFormatError(
-            f"truncated report: expected {expected} cell records, found {len(records)}"
-        )
-    return replace(header, cells=[r for r in records if isinstance(r, CellResult)],
-                   failures=[r for r in records if isinstance(r, CellFailure)],
-                   random_walk_rows=rw_rows)
+    """Read a whole report (``_cell_map``) written by save_report / run_grid,
+    from a path or a text stream. Raises what ``_read_report`` raises, and
+    ReportFormatError for a report that lacks its random-walk record or a
+    cell of its grid."""
+    report = _read_report(source)
+    try:
+        _cell_map(report)
+    except DataError as exc:
+        raise ReportFormatError(str(exc)) from None
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -594,36 +642,28 @@ def _metric_format(widths) -> str:
 
 
 def render_table(report: GridReport, which: str) -> str:
-    """Render one report view as fixed-format text, 8 decimals per metric.
+    """Render one view of a whole report (``_cell_map``) as fixed-format
+    text, 8 decimals per metric.
 
     Views: ``in_sample`` (one row per cell plus an Avgr row per input
     level), ``out_sample_by_input`` (hidden-averaged rows per input level
     and horizon, ending with the RW benchmark row), and ``hidden_effect``
     (per-cell out-of-sample rows per horizon). The averages are computed
     here, from the cells a view prints them for; a report holds none.
-    Raises DataError for an unknown view or a grid cell with no record.
+    Raises DataError for an unknown view or a report that is not whole.
     """
     if which not in _LAYOUTS:
         raise DataError(f"unknown view {which!r}; expected one of {_VIEWS}")
+    records = list(_cell_map(report).values())
     lead, widths, averaged = _LAYOUTS[which]
     per_cell = "Hidden" in lead  # a row per (p, h) cell
     labels = (None,) if which == "in_sample" else report.config.horizon_spec.labels
     lead_format = _lead_format(widths[:len(lead)])
     metric_format = _metric_format(widths[len(lead):])
-
-    def rows_under(label) -> dict:
-        """{(p, h): the cell's row under label}, with None labelling the
-        in-sample rows."""
-        if label is None:
-            return {(c.p, c.h): c.in_sample for c in report.cells}
-        return {(c.p, c.h): row for c in report.cells for found, row in c.out_sample
-                if found == label}
-
-    errors = {(f.p, f.h): f.error for f in report.failures}
-    missing = set(product(report.config.input_levels, report.config.hidden_levels))
-    missing -= errors.keys() | {(c.p, c.h) for c in report.cells}
-    if missing:
-        raise DataError(f"report has no record of cell {min(missing)}")
+    width = len(report.config.hidden_levels)
+    # the records of each input level, a run of the (p, h)-ordered map
+    levels = [(p, records[start:start + width])
+              for p, start in zip(report.config.input_levels, range(0, len(records), width))]
     input_columns, hidden_columns = {}, []
     if per_cell:
         # a cell row leads with its input level's columns, then its Hidden
@@ -631,7 +671,7 @@ def render_table(report: GridReport, which: str) -> str:
         sample = (f"N={report.train_len}",) if "Sample" in lead else ()
         input_format = _lead_format(widths[:len(lead) - 1])
         input_columns = {p: input_format % (*sample, p) for p in report.config.input_levels}
-        hidden_columns = [(h, _lead_format(widths[len(lead) - 1:len(lead)]) % h)
+        hidden_columns = [_lead_format(widths[len(lead) - 1:len(lead)]) % h
                           for h in report.config.hidden_levels]
     lines = []
 
@@ -639,26 +679,27 @@ def render_table(report: GridReport, which: str) -> str:
         lines.append((lead_text + f"FAILED: {item}").rstrip() if isinstance(item, str)
                      else lead_text + metric_format % (item.rmse, item.mae, item.mape))
 
-    for label in labels:
+    for index, label in enumerate(labels):
         suffix = "" if label is None else f"({label})"
         if lines:
             lines.append("")
         headings = (*lead, *(m + suffix for m in ("RMSE", "MAE", "MAPE")))
         lines.append((_lead_format(widths) % headings).rstrip())
-        cell_rows = rows_under(label)
-        for p in report.config.input_levels:
-            for h, hidden_column in hidden_columns:
-                cell = cell_rows.get((p, h))
-                row(input_columns[p] + hidden_column, errors[p, h] if cell is None else cell)
+        for p, level in levels:
+            # each cell's row under label, by the label's position, or its error
+            items = [r.error if isinstance(r, CellFailure) else
+                     r.in_sample if label is None else r.out_sample[index][1] for r in level]
+            for hidden_column, item in zip(hidden_columns, items):
+                row(input_columns[p] + hidden_column, item)
             if not averaged:
                 continue
-            level = [cell_rows[p, h] for h in report.config.hidden_levels if (p, h) in cell_rows]
+            level_rows = [item for item in items if not isinstance(item, str)]
             # a per-cell view has already shown why an input level has no average
-            if level or not per_cell:
+            if level_rows or not per_cell:
                 row(lead_format % (("Avgr", "") if per_cell else (p,)),
-                    _mean_row(level) if level else "no surviving cells")
+                    _mean_row(level_rows) if level_rows else "no surviving cells")
         if averaged and label is not None:
-            row(lead_format % ("RW",), dict(report.random_walk_rows)[label])
+            row(lead_format % ("RW",), report.random_walk_rows[index][1])
     return "\n".join(lines) + "\n"
 
 

@@ -67,6 +67,9 @@ class HorizonSpec:
                             "pairs") from None
         if not all(isinstance(label, str) for label, _ in windows):
             raise DataError(f"horizon labels of {windows!r} are not all strings")
+        labels = [label for label, _ in windows]
+        if len(set(labels)) < len(labels):  # a view names its rows by label
+            raise DataError(f"horizon labels {labels} are not distinct")
         object.__setattr__(self, "windows", tuple(
             (label, _integer(n, "horizon length")) for label, n in windows))
         if not self.windows:

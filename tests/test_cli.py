@@ -482,6 +482,8 @@ class TestReport:
         ("header", "config.train_cfg.learning_rate", float("inf"), "in_sample"),
         pytest.param("header", "config.train_cfg.learning_rate", 10**400, "in_sample",
                      id="learning_rate-10**400"),
+        # a horizon label repeated in the header and in the rows of every record
+        ("every", "6m", "1m", "out_sample"),
     ])
     def test_inconsistent_report(self, report_file, record_type, field, value, view,
                                  capsys):
@@ -490,11 +492,15 @@ class TestReport:
         if record_type == "failure":  # the report has none: make its last cell one
             last = records[-1]
             records[-1] = {"type": "failure", "p": last["p"], "h": last["h"], "error": "x"}
-        target = next(r for r in records if r.get("type", "header") == record_type)
-        *parents, field = (int(key) if key.isdigit() else key for key in field.split("."))
-        for key in parents:
-            target = target[key]
-        target[field] = value
+        if record_type == "every":  # the string field becomes value in every record
+            records = [json.loads(json.dumps(r).replace(json.dumps(field), json.dumps(value)))
+                       for r in records]
+        else:
+            target = next(r for r in records if r.get("type", "header") == record_type)
+            *parents, field = (int(key) if key.isdigit() else key for key in field.split("."))
+            for key in parents:
+                target = target[key]
+            target[field] = value
         with open(report_file, "w") as handle:
             handle.writelines(json.dumps(r) + "\n" for r in records)
         assert main(["report", report_file, "--view", view]) == EXIT_DATA

@@ -1055,6 +1055,9 @@ class TestReportPersistence:
     pytest.param(lambda: HorizonSpec([("1m",)]), "horizon windows [('1m',)] are not",
                  id="horizon-not-pair"),
     pytest.param(lambda: HorizonSpec(5), "horizon windows 5 are not", id="horizon-int"),
+    # a view names its rows by label
+    pytest.param(lambda: HorizonSpec((("1m", 4), ("1m", 26))),
+                 "horizon labels ['1m', '1m'] are not distinct", id="horizon-label-repeated"),
     pytest.param(lambda: Scaler("a", 1.0), "min 'a' is not a number", id="scaler-min-str"),
     pytest.param(lambda: TrainConfig(max_epochs=0), "max_epochs must be at least 1",
                  id="max_epochs-0"),
@@ -1087,6 +1090,20 @@ def report_with(**changes):
                          "test_len": 5, **changes})
 
 
+# a (1, 2) x (2,) grid whose cells and random walk are scored over 1m and 6m
+PROBE_ROWS = (("1m", ROW), ("6m", ROW))
+PROBE_GRID = GridConfig(input_levels=(1, 2), hidden_levels=(2,), train_cfg=FAST_TRAIN,
+                        horizon_spec=HorizonSpec((("1m", 4), ("6m", 26))))
+
+
+def probe_report(cells=None, failures=(), random_walk_rows=PROBE_ROWS):
+    """A whole report of the probe grid, unless ``cells``, ``failures`` or
+    ``random_walk_rows`` say otherwise."""
+    if cells is None:
+        cells = [cell_with(p=p, out_sample=PROBE_ROWS) for p in (1, 2)]
+    return GridReport(cells, failures, random_walk_rows, PROBE_GRID, "unit", 60, 30)
+
+
 # Each report record checks its own fields, whether it is built in code or
 # read from a report, so that save_report writes only what load_report reads.
 @pytest.mark.parametrize("build, message", [
@@ -1108,6 +1125,8 @@ def report_with(**changes):
                  id="best_sse-inf"),
     pytest.param(lambda: cell_with(best_sse=False), "best_sse False is not a number",
                  id="best_sse-False"),
+    pytest.param(lambda: cell_with(in_sample=(1.0, 1.0, 1.0)),
+                 "in_sample (1.0, 1.0, 1.0) is not a MetricRow", id="in_sample-tuple"),
     pytest.param(lambda: CellFailure(p=2.0, h=2, error="x"), "p 2.0 is not an integer",
                  id="failure-p-float"),
     pytest.param(lambda: CellFailure(p=1, h=False, error="x"), "h False is not an integer",
@@ -1122,6 +1141,33 @@ def report_with(**changes):
                  id="train_len-float"),
     pytest.param(lambda: report_with(test_len=0), "lengths 10, 0 are not both positive",
                  id="test_len-0"),
+    pytest.param(lambda: report_with(config=None), "config None is not a GridConfig",
+                 id="config-None"),
+    # a GridReport admits only records that fit its config, so that a view
+    # can take a cell's row under a label by the label's position
+    pytest.param(lambda: probe_report(random_walk_rows=(("1m", ROW),)),
+                 "horizon labels ['1m'] differ from the header's ['1m', '6m']", id="rw-labels"),
+    pytest.param(lambda: probe_report(cells=[cell_with(p=1, out_sample=PROBE_ROWS),
+                                             cell_with(p=2, out_sample=(("1m", ROW),))]),
+                 "horizon labels ['1m'] differ from the header's ['1m', '6m']",
+                 id="cell-labels"),
+    pytest.param(lambda: probe_report(cells=[cell_with(p=1, out_sample=PROBE_ROWS),
+                                             CellFailure(p=2, h=2, error="x")]),
+                 "cells holds CellFailure(p=2, h=2, error='x'), which is not a CellResult",
+                 id="failure-in-cells"),
+    pytest.param(lambda: probe_report(cells=[], failures=[
+                     CellFailure(p=1, h=2, error="x"), cell_with(p=2, out_sample=PROBE_ROWS)]),
+                 "failures holds CellResult", id="cell-in-failures"),
+    pytest.param(lambda: probe_report(random_walk_rows=(ROW, ROW)),
+                 "are not a tuple of (label, MetricRow) pairs", id="rw-not-pairs"),
+    pytest.param(lambda: probe_report(cells=[
+                     cell_with(p=1, out_sample=PROBE_ROWS),
+                     cell_with(p=2, out_sample=[("1m", ROW), ("6m", ROW)])]),
+                 "are not a tuple of (label, MetricRow) pairs", id="cell-rows-list"),
+    pytest.param(lambda: probe_report(cells=[
+                     cell_with(p=1, out_sample=PROBE_ROWS),
+                     cell_with(p=2, out_sample=(("1m", ROW), ("6m", 1.0)))]),
+                 "are not a tuple of (label, MetricRow) pairs", id="cell-row-not-metric"),
 ])
 def test_report_records_checked_at_construction(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
@@ -1135,9 +1181,34 @@ def test_records_store_plain_numbers():
     assert [type(v) for v in (cell.p, cell.h, cell.best_sse)] == [int, int, float]
     assert [type(v) for v in (cell.in_sample.rmse, cell.in_sample.mae)] == [float, float]
     report = report_with(cells=[cell_with(h=3), cell], random_walk_rows=[("1w", ROW)],
+                         config=GridConfig(input_levels=(1,), hidden_levels=(2, 3),
+                                           horizon_spec=HorizonSpec((("1w", 1),))),
                          train_len=np.int64(10))
     assert [c.h for c in report.cells] == [2, 3] and type(report.train_len) is int
     assert type(report.cells) is tuple and type(report.random_walk_rows) is tuple
+
+
+# save_report and every view take a whole report: one record per grid cell
+# and the random-walk rows. A report that is not whole raises before
+# save_report opens its sink.
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(dict(failures=[CellFailure(p=3, h=2, error="x")]),
+                 "cell record (3, 2) is off the header's grid", id="off-grid"),
+    pytest.param(dict(failures=[CellFailure(p=2, h=2, error="x")]),
+                 "duplicate cell record (2, 2)", id="repeated"),
+    pytest.param(dict(cells=[cell_with(p=2, out_sample=PROBE_ROWS)]),
+                 "truncated report: no record of cell (1, 2)", id="missing"),
+    pytest.param(dict(random_walk_rows=()), "missing random_walk record", id="no-rw"),
+])
+def test_report_that_is_not_whole_is_neither_saved_nor_rendered(tmp_path, changes, message):
+    report = probe_report(**changes)
+    path = tmp_path / "report.fxr"
+    with pytest.raises(DataError, match=re.escape(message)):
+        save_report(report, path)
+    assert not path.exists()
+    for view in experiment._VIEWS:
+        with pytest.raises(DataError, match=re.escape(message)):
+            render_table(report, view)
 
 
 def tiny_report():

@@ -11,13 +11,15 @@ seeds of its own.
 """
 
 import functools
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from fxcast import Architecture, FxcastError, Mlp, init_weights, load_model, save_model
+from fxcast import (Architecture, FxcastError, Mlp, init_weights, load_model, load_report,
+                    render_table, save_model, save_report)
 from fxcast.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, main
 from fxcast.experiment import _VIEWS
 
@@ -178,6 +180,18 @@ def fuzz_report(name, tmp_path, capsys, seed, cases):
     def check(path):
         for view in _VIEWS:
             exits_with(["report", str(path), "--view", view], capsys)
+        try:
+            report = load_report(path)
+        except FxcastError:
+            return
+        # a file that loads saves again to one that loads back equal and
+        # renders every view
+        saved = io.StringIO()
+        save_report(report, saved)
+        again = load_report(io.StringIO(saved.getvalue()))
+        assert again == report
+        for view in _VIEWS:
+            render_table(again, view)
 
     text = (GOLDEN / f"{name}.fxr").read_text(encoding="utf-8")
     run_cases(seed, cases, text, JSON_MUTATIONS, tmp_path / "mutated.fxr", check)
