@@ -1,7 +1,7 @@
 """Sliding-window MLP forecasting of univariate series.
 
 The package trains three-layer perceptrons on lagged observations by
-multi-restart SSE gradient descent, evaluates them in and out of sample
+multi-restart full-batch iRprop− on the SSE, evaluates them in and out of sample
 under RMSE/MAE/MAPE across horizon windows, and benchmarks every sweep
 against the naive random walk.
 """
@@ -17,6 +17,7 @@ from .errors import (
 from .experiment import (
     CellFailure,
     CellResult,
+    GdTrainConfig,
     GridConfig,
     GridReport,
     evaluate_cell,

@@ -107,7 +107,8 @@ def _add_format_flags(cmd):
 
 # TrainConfig field: (parser, help) of the flag named after it
 _TRAIN_FLAGS = {
-    "learning_rate": (_positive_float, "gradient-descent step size"),
+    "initial_step": (_positive_float, "iRprop− step every parameter starts from"),
+    "max_step": (_positive_float, "cap on each parameter's iRprop− step"),
     "max_epochs": (_positive_int, "epoch cap per restart"),
     "min_sse_delta": (_nonnegative_float, "early-stop threshold on per-epoch SSE improvement"),
     "restarts": (_positive_int, "independent trainings per cell (default %(default)s)"),

@@ -27,7 +27,7 @@ class DataError(FxcastError, ValueError):
 
 
 class DivergenceError(FxcastError, RuntimeError):
-    """Every training restart diverged or ran away; there is no usable solution."""
+    """Every training restart diverged; there is no usable solution."""
 
 
 class ReportFormatError(FxcastError, ValueError):
@@ -128,13 +128,15 @@ def _json_object(text: str, where) -> dict:
     return obj
 
 
-def _check_tag(record: dict, fmt: str, version: int, what: str, **fixed):
-    """Check the format tag, version and ``fixed`` values of a file's record."""
+def _check_tag(record: dict, fmt: str, versions, what: str, **fixed) -> int:
+    """Check the format tag, the version, one of ``versions``, and the
+    ``fixed`` values of a file's record; return the version."""
     if record.get("format") != fmt:
         raise ReportFormatError(f"not a {what} file")
     found = record.get("version")
-    if type(found) is not int or found != version:  # a true equals 1
+    if type(found) is not int or found not in versions:  # a true equals 1
         raise ReportVersionError(f"unsupported {what} version {found!r}")
     for key, value in fixed.items():
         if record.get(key) != value:
             raise ReportFormatError(f"unsupported {key} {record.get(key)!r}, expected {value!r}")
+    return found

@@ -39,6 +39,7 @@ from .mlp import (
     Architecture,
     TrainConfig,
     TrainResult,
+    _check_train_fields,
     _predict_block,
     _restart_searches,
     train_multi_restart,
@@ -46,15 +47,46 @@ from .mlp import (
 from .series import Scaler, TimeSeries, WindowedDataset, fit_scaler
 
 _REPORT_FORMAT = "fxcast-grid-report"
-_REPORT_VERSION = 1
 
 _SYNTH_EPOCH = datetime.date(2000, 1, 7)
 _SYNTH_MAX_N = (datetime.date.max - _SYNTH_EPOCH).days // 7 + 1  # weekly dates to date.max
 
 
 @dataclass(frozen=True)
+class GdTrainConfig:
+    """The training settings that a version 1 report's header names: those
+    of full-batch gradient descent, params <- params - learning_rate *
+    gradient, which fxcast no longer runs.
+
+    A version 1 report loads with one as its ``train_cfg``, renders as it
+    did, and ``save_report`` writes it back as version 1, so it is never
+    saved under a header that names settings it was not trained with. The
+    trainer rejects it. It checks its fields as ``TrainConfig`` does, its
+    learning rate positive and finite.
+    """
+
+    learning_rate: float = 1e-4
+    max_epochs: int = 2000
+    min_sse_delta: float = 1e-10
+    restarts: int = 50
+    init_half_width: float = 0.5
+    master_seed: int = 0
+
+    def __post_init__(self):
+        _check_train_fields(self)
+        if not 0.0 < self.learning_rate < math.inf:  # a comparison, so that nan fails it
+            raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
+
+
+# report version: the training config class its header holds
+_REPORT_VERSIONS = {1: GdTrainConfig, 2: TrainConfig}
+
+
+@dataclass(frozen=True)
 class GridConfig:
-    """Factorial sweep over input lags and hidden widths."""
+    """Factorial sweep over input lags and hidden widths. ``train_cfg`` is a
+    TrainConfig, or the GdTrainConfig of a version 1 report, which renders
+    and saves but does not train."""
 
     input_levels: tuple = tuple(range(1, 11))
     hidden_levels: tuple = (6, 12, 18, 24, 30)
@@ -65,6 +97,9 @@ class GridConfig:
     def __post_init__(self):
         if type(self.scale) is not bool:
             raise DataError(f"scale {self.scale!r} is not a bool")
+        if type(self.train_cfg) not in _REPORT_VERSIONS.values():
+            raise DataError(f"train_cfg {self.train_cfg!r} is not a TrainConfig or a "
+                            "GdTrainConfig")
         for name in ("input_levels", "hidden_levels"):
             try:
                 levels = tuple(_integer(v, name) for v in getattr(self, name))
@@ -266,8 +301,8 @@ def evaluate_cell(train_series: TimeSeries, test_series: TimeSeries, p: int, h: 
     metrics are computed in original units. The cell takes the path of a
     sweep piece of one width (``_level_cells``), trained by
     ``train_multi_restart``, so its ``train_seconds`` is the whole call.
-    Raises DivergenceError if every restart diverged or ran away and
-    DataError if the forecasts cannot be scored.
+    Raises DivergenceError if every restart diverged and DataError if the
+    forecasts cannot be scored.
     """
     started = time.perf_counter()
     windows = _cell_windows(train_series, test_series, p, cfg.scale)
@@ -365,7 +400,7 @@ def run_grid(train_series: TimeSeries, test_series: TimeSeries, grid: GridConfig
     the first record of any sweep comes after one cell. With ``sink`` set,
     an interrupted sweep leaves a valid prefix.
 
-    Per-cell failures (e.g. every restart diverged or ran away) are recorded in the
+    Per-cell failures (e.g. every restart diverged) are recorded in the
     report instead of aborting the remaining cells.
     """
     if workers < 1:
@@ -432,22 +467,24 @@ def _config_to_json(config: GridConfig) -> dict:
     return {
         "input_levels": list(config.input_levels),
         "hidden_levels": list(config.hidden_levels),
-        "train_cfg": {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)},
+        "train_cfg": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "horizons": [[label, length] for label, length in config.horizon_spec.windows],
         "scale": config.scale,
     }
 
 
-def _config_from_json(obj) -> GridConfig:
-    """The GridConfig of a header; the config classes check each value."""
+def _config_from_json(obj, version: int) -> GridConfig:
+    """The GridConfig of a header of ``version``; the config classes check
+    each value."""
     train_cfg = _typed(obj["train_cfg"], (dict,), "train_cfg")
-    names = sorted(f.name for f in fields(TrainConfig))
+    kind = _REPORT_VERSIONS[version]
+    names = sorted(f.name for f in fields(kind))
     if sorted(train_cfg) != names:  # a field left out would take its default
         raise ReportFormatError(f"train_cfg fields {sorted(train_cfg)} are not {names}")
     return GridConfig(
         input_levels=obj["input_levels"],
         hidden_levels=obj["hidden_levels"],
-        train_cfg=TrainConfig(**train_cfg),
+        train_cfg=kind(**train_cfg),
         horizon_spec=HorizonSpec(obj["horizons"]),
         scale=obj["scale"],
     )
@@ -466,10 +503,11 @@ class _ReportWriter:
             flush()
 
     def header(self, config, series_name, train_len, test_len):
+        version = {kind: v for v, kind in _REPORT_VERSIONS.items()}[type(config.train_cfg)]
         self._line(
             {
                 "format": _REPORT_FORMAT,
-                "version": _REPORT_VERSION,
+                "version": version,
                 "series": series_name,
                 "train_len": train_len,
                 "test_len": test_len,
@@ -499,8 +537,9 @@ class _ReportWriter:
 
 def save_report(report: GridReport, sink):
     """Write a whole report (``_cell_map``) in the streaming line format, to
-    a path or a text stream, in (p, h) order. Raises the DataError of a
-    report that is not whole before it opens ``sink``."""
+    a path or a text stream, in (p, h) order, under the version whose header
+    holds its ``train_cfg``: 2, or 1 for a GdTrainConfig. Raises the
+    DataError of a report that is not whole before it opens ``sink``."""
     records = _cell_map(report).values()
     with _opened(sink, "w") as handle:
         writer = _ReportWriter(handle)
@@ -524,26 +563,34 @@ def _place(placed: dict, record):
 
 def _cell_map(report: GridReport) -> dict:
     """{(p, h): CellResult or CellFailure} over the report's whole grid, in
-    (p, h) order: the one rule of a whole report, which ``save_report``,
-    ``load_report`` and ``render_table`` apply. Raises DataError naming the
-    missing random-walk rows, or the first off-grid or repeated record (in
-    the order of the cells, then the failures) or the first cell without
-    one."""
-    if not report.random_walk_rows:
-        raise DataError("missing random_walk record")
+    (p, h) order, which ``save_report`` and ``render_table`` need. Raises
+    DataError naming the first off-grid or repeated record (in the order of
+    the cells, then the failures), or what ``_whole`` raises."""
     placed = dict.fromkeys(product(report.config.input_levels, report.config.hidden_levels))
     for record in chain(report.cells, report.failures):
         _place(placed, record)
+    return _whole(report, placed)
+
+
+def _whole(report: GridReport, placed: dict) -> dict:
+    """``placed``, the map of ``report``'s records that ``_place`` built, if
+    the report is whole: the one rule of a whole report, which
+    ``save_report``, ``load_report`` and ``render_table`` apply. Raises
+    DataError naming the missing random-walk rows or the first cell without
+    a record."""
+    if not report.random_walk_rows:
+        raise DataError("missing random_walk record")
     missing = next((key for key, record in placed.items() if record is None), None)
     if missing is not None:
         raise DataError(f"truncated report: no record of cell {missing}")
     return placed
 
 
-def _read_report(source) -> GridReport:
-    """The report in a file as save_report / run_grid write it, or the
-    partial report in a prefix of one: its random-walk rows are empty if the
-    file has none, and it holds the cell records the file holds.
+def _read_report(source) -> tuple:
+    """(report, map) of a file as save_report / run_grid write it, or of a
+    prefix of one: the partial report, whose random-walk rows are empty if
+    the file has none and which holds the cell records the file holds, and
+    its {(p, h): record or None} map over the header's grid (``_place``).
 
     Raises ReportVersionError for an unsupported version tag and
     ReportFormatError, naming the header or the line, for a corrupt payload:
@@ -558,9 +605,9 @@ def _read_report(source) -> GridReport:
     if not lines:
         raise ReportFormatError("empty report file")
     header = _json_object(lines[0][1], "report header")
-    _check_tag(header, _REPORT_FORMAT, _REPORT_VERSION, "grid report")
+    version = _check_tag(header, _REPORT_FORMAT, _REPORT_VERSIONS, "grid report")
     try:
-        config = _config_from_json(header["config"])
+        config = _config_from_json(header["config"], version)
         if _typed(header["master_seed"], (int,), "master_seed") != config.train_cfg.master_seed:
             raise ReportFormatError(f"master_seed {header['master_seed']} differs from "
                                     f"train_cfg's {config.train_cfg.master_seed}")
@@ -599,17 +646,18 @@ def _read_report(source) -> GridReport:
     for name, kind in (("cells", CellResult), ("failures", CellFailure)):
         object.__setattr__(report, name, tuple(r for r in placed.values() if isinstance(r, kind)))
     object.__setattr__(report, "random_walk_rows", rw_rows)
-    return report
+    return report, placed
 
 
 def load_report(source) -> GridReport:
-    """Read a whole report (``_cell_map``) written by save_report / run_grid,
-    from a path or a text stream. Raises what ``_read_report`` raises, and
-    ReportFormatError for a report that lacks its random-walk record or a
-    cell of its grid."""
-    report = _read_report(source)
+    """Read a whole report (``_whole``) written by save_report / run_grid,
+    from a path or a text stream, of any version that fxcast wrote: a
+    version 1 report's ``train_cfg`` is a GdTrainConfig. Raises what
+    ``_read_report`` raises, and ReportFormatError for a report that lacks
+    its random-walk record or a cell of its grid."""
+    report, placed = _read_report(source)
     try:
-        _cell_map(report)
+        _whole(report, placed)
     except DataError as exc:
         raise ReportFormatError(str(exc)) from None
     return report

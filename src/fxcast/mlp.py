@@ -1,5 +1,5 @@
 """Three-layer perceptron: forward pass, SSE objective, analytic gradient,
-full-batch gradient-descent training, and best-of-K restart search."""
+full-batch iRprop− training, and best-of-K restart search."""
 
 from __future__ import annotations
 
@@ -96,16 +96,46 @@ class Gradient(_Record):
     _arrays = ("hidden_weights", "hidden_biases", "output_weights")
 
 
+# iRprop−: a parameter's step grows by the first factor while its gradient
+# keeps its sign and shrinks by the second when the sign flips, and never
+# falls below the floor
+_STEP_GROWTH, _STEP_SHRINK, _STEP_FLOOR = 1.2, 0.5, 1e-8
+
+
+def _check_train_fields(cfg):
+    """Store each field of a frozen training config as an int or a float,
+    by the type of its default, and check the fields that every training
+    config has: the epoch cap, the stop threshold, the restart count and
+    the init half-width."""
+    # stored as Python ints and floats, so numpy scalars serialize
+    for f in fields(cfg):
+        check = _integer if type(f.default) is int else _real
+        object.__setattr__(cfg, f.name, check(getattr(cfg, f.name), f.name))
+    # written as comparisons, so that nan fails them
+    if cfg.max_epochs < 1:
+        raise DataError("max_epochs must be at least 1")
+    if not 0.0 <= cfg.min_sse_delta < math.inf:
+        raise DataError(f"min_sse_delta {cfg.min_sse_delta!r} is not nonnegative and finite")
+    if cfg.restarts < 1:
+        raise DataError("restarts must be at least 1")
+    # the weights are drawn from a range 2 * init_half_width wide
+    if not 0.0 < 2.0 * cfg.init_half_width < math.inf:
+        raise DataError(f"init_half_width {cfg.init_half_width!r} is not positive "
+                        "with a finite draw range 2 * init_half_width")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for gradient-descent training and the restart search.
+    """Knobs for iRprop− training and the restart search.
 
-    The learning rate multiplies the gradient of the summed (not averaged)
-    SSE, so stable values shrink with pattern count; the default is sized
-    for a few hundred to ~1000 patterns of [0, 1]-scaled data.
+    Each parameter has its own step, which starts at ``initial_step`` and
+    stays between a floor of 1e-8 and ``max_step``. A parameter moves by at
+    most ``max_step`` per epoch, so ``init_half_width + max_epochs *
+    max_step`` must be finite: then no parameter can leave the floats.
     """
 
-    learning_rate: float = 1e-4
+    initial_step: float = 0.01
+    max_step: float = 1.0
     max_epochs: int = 2000
     min_sse_delta: float = 1e-10
     restarts: int = 50
@@ -113,34 +143,24 @@ class TrainConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # stored as Python ints and floats, so numpy scalars serialize
-        for f in fields(self):
-            check = _integer if type(f.default) is int else _real
-            object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
-        # written as comparisons, so that nan fails them
-        if not 0.0 < self.learning_rate < math.inf:
-            raise DataError(f"learning_rate {self.learning_rate!r} is not positive and finite")
-        if self.max_epochs < 1:
-            raise DataError("max_epochs must be at least 1")
-        if not 0.0 <= self.min_sse_delta < math.inf:
-            raise DataError(f"min_sse_delta {self.min_sse_delta!r} is not nonnegative and finite")
-        if self.restarts < 1:
-            raise DataError("restarts must be at least 1")
-        # the weights are drawn from a range 2 * init_half_width wide
-        if not 0.0 < 2.0 * self.init_half_width < math.inf:
-            raise DataError(f"init_half_width {self.init_half_width!r} is not positive "
-                            "with a finite draw range 2 * init_half_width")
+        _check_train_fields(self)
+        if not _STEP_FLOOR <= self.initial_step <= self.max_step < math.inf:
+            raise DataError(f"steps initial_step {self.initial_step!r} and max_step "
+                            f"{self.max_step!r} are not {_STEP_FLOOR!r} <= initial_step "
+                            "<= max_step < inf")
+        if not self.init_half_width + self.max_epochs * self.max_step < math.inf:
+            raise DataError(f"init_half_width + max_epochs * max_step of {self.init_half_width!r}"
+                            f" + {self.max_epochs} * {self.max_step!r} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
 class TrainRun(_Record):
-    """Outcome of a single gradient-descent run."""
+    """Outcome of a single training run: its best state and that state's SSE."""
 
     net: Mlp
     sse: float
     sse_trace: np.ndarray  # SSE after each completed epoch
     diverged: bool
-    ran_away: bool = False  # finite, but ended above the SSE it started from
     _arrays = ("sse_trace",)
 
     @property
@@ -293,9 +313,9 @@ class _Params:
     row space, each hidden unit's p weights followed by its bias, then w2
     as one weight per row, each network's h output weights followed by its
     output bias. The w1 row of a ones row is zero and stays zero, since no
-    product writes its gradient row. So the update, the finiteness check
-    and the w2 scaling of the w1 gradient each cover the whole block in one
-    call, and the kernel reads and writes each network through fixed views.
+    product writes its gradient row. So each pass of the update and the w2
+    scaling of the w1 gradient cover the whole block in one call, and the
+    kernel reads and writes each network through fixed views.
     """
 
     __slots__ = ("flat", "w1", "w2", "w2_col", "w1s", "w2s", "hidden_products",
@@ -423,6 +443,8 @@ def _train_block(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     space times the pattern count stays within ``_BLOCK_BUDGET`` doubles; a
     network over budget trains alone.
     """
+    if not isinstance(cfg, TrainConfig):
+        raise DataError(f"{cfg!r} is not a TrainConfig, the settings of iRprop− training")
     for net in nets0:
         _check_window(net, data)
     runs, start, used = [], 0, 0
@@ -436,79 +458,130 @@ def _train_block(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
 
 def _train_together(nets0, data: WindowedDataset, cfg: TrainConfig) -> list:
     """``_train_block`` for networks that share one block, and so each
-    epoch's elementwise numpy calls, which at a few hundred patterns cost
-    more than the arithmetic. The block is built once: a network that
-    diverges or meets the stop rule gets its TrainRun from the state it
-    leaves with, and its rows become the zero network on zero targets, whose
-    gradient and step are exactly 0. No network reads another's rows, so the
-    others go on with the bits they have alone. The networks still in the
-    block at the epoch cap get theirs from the last state and are not
-    frozen, since the block is dropped."""
-    lr, min_delta = cfg.learning_rate, cfg.min_sse_delta
+    epoch's numpy calls, which at a few hundred patterns cost more than the
+    arithmetic.
+
+    The update is iRprop− (``train``), elementwise on the block's flat
+    vector, with each parameter's step and the sign of its last move in
+    flat vectors beside it. A network's best state is the current one while
+    it keeps improving; on the first epoch that does not improve on it, the
+    state it left is copied into a third vector, so a network is copied once
+    per run of improving epochs, not every epoch.
+
+    The block is built once: a network that diverges or meets the stop rule
+    gets its TrainRun from its best state, and its rows become the zero
+    network on zero targets, whose gradient is exactly 0 and which sign(0)
+    = 0 keeps still. No network reads another's rows, so the others go on
+    with the bits they have alone. The networks still in the block at the
+    epoch cap get theirs from their best states too."""
+    min_delta = cfg.min_sse_delta
     block = _Block(data.inputs, [net.arch.hidden_count for net in nets0], data.targets)
-    params, trial = block.params(nets0), block.params()
-    finite = np.empty(params.flat.shape, dtype=bool)
+    params, trial, best = block.params(nets0), block.params(), block.params()
+    # per parameter: its step, and the sign of its last move, 0 if it had none
+    steps, moves = block.params(), block.params()
+    steps.flat.fill(cfg.initial_step)
+    grad, step, move = block.grad.flat, steps.flat, moves.flat
+    signs, factors = np.empty_like(step), np.empty_like(step)
+    # the constants as arrays: a ufunc converts a Python float operand on
+    # every call, which costs as much as the pass itself at these sizes
+    one, shrink, growth, cap, floor = constants = np.empty((5, step.size))
+    constants[...] = [[1.0], [_STEP_SHRINK], [_STEP_GROWTH], [cfg.max_step], [_STEP_FLOOR]]
     runs = [None] * len(nets0)
     traces = [[] for _ in nets0]
+    at_best = [True] * len(nets0)  # whether a network's best state is the current one
     live = len(nets0)
+    isfinite = math.isfinite
 
-    def run_of(k, state, value, diverged):
-        return TrainRun(net=Mlp(nets0[k].arch, *state.layers(k)), sse=value,
-                        sse_trace=traces[k], diverged=diverged,
-                        ran_away=not diverged and value > initial[k])
+    def run_of(k, diverged):
+        state = params if at_best[k] else best
+        return TrainRun(net=Mlp(nets0[k].arch, *state.layers(k)), sse=best_sse[k],
+                        sse_trace=traces[k], diverged=diverged)
 
-    def leave(k, state, value, diverged):
+    def leave(k, diverged):
         nonlocal live
-        runs[k] = run_of(k, state, value, diverged)
-        for rows in (params.w1s, params.w2s, trial.w1s, trial.w2s, block.grad.w1s,
-                     block.grad.w2s, block.targets):
-            rows[k].fill(0.0)
+        runs[k] = run_of(k, diverged)
+        for vector in (params, steps, moves, block.grad):  # a trial is built from these
+            vector.w1s[k].fill(0.0)
+            vector.w2s[k].fill(0.0)
+        block.targets[k].fill(0.0)
         live -= 1
 
-    # blow-ups surface as non-finite values and are handled explicitly below,
-    # so the numpy overflow warnings on a diverging run are pure noise
+    def skipped(k):
+        # the epoch moved none of network k's parameters, though its
+        # gradient, the same at the state it kept, is not 0
+        return not (moves.w1s[k].any() or moves.w2s[k].any()) and (
+            block.grad.w1s[k].any() or block.grad.w2s[k].any())
+
+    # a non-finite SSE is handled explicitly below, so the numpy overflow
+    # warnings of a diverging network are pure noise
     with np.errstate(over="ignore", invalid="ignore"):
-        sse_prev = initial = _sse_and_gradient(params, block)
+        sse_prev = _sse_and_gradient(params, block)
+        best_sse = list(sse_prev)
+        for k, value in enumerate(sse_prev):
+            if not isfinite(value):
+                leave(k, True)
         for _ in range(cfg.max_epochs):
             if not live:
                 break
-            np.multiply(block.grad.flat, lr, out=trial.flat)  # the step
-            np.subtract(params.flat, trial.flat, out=trial.flat)
-            if not np.isfinite(trial.flat, out=finite).all():
-                for k, (w1, w2) in enumerate(zip(trial.w1s, trial.w2s)):
-                    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
-                        leave(k, params, sse_prev[k], True)
+            np.sign(grad, signs)
+            # 1 where the gradient kept the sign of the last move, -1 where it
+            # flipped, else 0; then the step's factor: growth, shrink or 1
+            np.multiply(signs, move, factors)
+            np.add(factors, one, factors)
+            np.maximum(factors, shrink, out=factors)
+            np.minimum(factors, growth, out=factors)
+            np.multiply(step, factors, step)
+            np.minimum(step, cap, out=step)
+            np.maximum(step, floor, out=step)
+            # the move's sign: the gradient's, or 0 where it flipped (a skip)
+            np.multiply(signs, factors, move)
+            np.trunc(move, move)
+            np.multiply(move, step, trial.flat)
+            np.subtract(params.flat, trial.flat, trial.flat)
             sse_new = _sse_and_gradient(trial, block)
+            leaving = []
             for k, value in enumerate(sse_new):
                 if runs[k] is not None:
                     continue
-                if not math.isfinite(value):
-                    leave(k, params, sse_prev[k], True)
-                    continue
+                if value < best_sse[k]:
+                    best_sse[k], at_best[k] = value, True
+                else:
+                    if at_best[k]:  # keep the state the epoch left, before a trial overwrites it
+                        np.copyto(best.w1s[k], params.w1s[k])
+                        np.copyto(best.w2s[k], params.w2s[k])
+                        at_best[k] = False
+                    if not isfinite(value):
+                        leaving.append((k, True))
+                        continue
                 traces[k].append(value)
-                if 0.0 <= sse_prev[k] - value < min_delta:
-                    leave(k, trial, value, False)
-            params, trial = trial, params
-            sse_prev = sse_new
-    return [run if run is not None else run_of(k, params, sse_prev[k], False)
-            for k, run in enumerate(runs)]
+                # a skip epoch leaves the SSE as it was, and never stops a run
+                if 0.0 <= sse_prev[k] - value < min_delta and not skipped(k):
+                    leaving.append((k, False))
+            params, trial, sse_prev = trial, params, sse_new
+            for k, diverged in leaving:
+                leave(k, diverged)
+    return [run if run is not None else run_of(k, False) for k, run in enumerate(runs)]
 
 
 def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
-    """Full-batch gradient descent from ``net0``.
+    """Full-batch iRprop− from ``net0`` (Riedmiller & Braun 1993, without
+    weight backtracking as in Igel & Hüsken 2000).
 
-    Each epoch applies params <- params - learning_rate * gradient, stopping
-    early once an epoch's SSE improvement is nonnegative and below
-    ``min_sse_delta``. A worsening epoch never stops the run: brief
-    overshoot oscillations are normal at workable learning rates, and only
-    a vanishing improvement signals convergence. If any parameter or the
-    SSE turns non-finite, the run aborts and returns the last finite state
-    with ``diverged`` set. A run that stays finite but ends with a higher
-    SSE than its initial network had is returned with ``ran_away`` set.
-    The caller decides whether to discard either. This is ``_train_block``
-    of one network; a network trained in a block with others gets these
-    same bits, and a run that ends before theirs stays in the block as the
-    zero network.
+    Each parameter has its own step, which starts at ``initial_step``. An
+    epoch multiplies it by 1.2 where the gradient keeps the sign of the
+    parameter's last move and by 0.5 where it flips, keeps it between 1e-8
+    and ``max_step``, and moves the parameter by -sign(gradient) * step;
+    a parameter whose sign flipped skips that epoch and is compared with no
+    sign in the next. The run returns its best state, the first of its
+    lowest SSE, the initial network included. It stops early once an
+    epoch's SSE improvement is nonnegative and below ``min_sse_delta``,
+    except on a skip epoch, one in which every parameter with a nonzero
+    gradient flipped, so nothing moved; a zero gradient, a perfect fit,
+    stops it at epoch 1. If the SSE turns non-finite, the run ends with
+    ``diverged`` set, and the caller decides whether to discard it. This is
+    ``_train_block`` of one network; a network trained in a block with
+    others gets these same bits, and a run that ends before theirs stays in
+    the block as the zero network.
     """
     return _train_block([net0], data, cfg)[0]
 
@@ -516,17 +589,13 @@ def train(net0: Mlp, data: WindowedDataset, cfg: TrainConfig) -> TrainRun:
 def _best_restart(runs):
     """The winner of a restart search over ``runs``, listed by restart index.
 
-    Diverged and runaway runs are discarded; the winner is the minimum
-    final SSE, ties broken by lowest restart index. Returns a
-    DivergenceError, unraised, if no run is left.
+    Diverged runs are discarded; the winner is the minimum SSE, ties
+    broken by lowest restart index. Returns a DivergenceError, unraised, if
+    no run is left.
     """
-    kept = [(run.sse, index) for index, run in enumerate(runs)
-            if not (run.diverged or run.ran_away)]
+    kept = [(run.sse, index) for index, run in enumerate(runs) if not run.diverged]
     if not kept:
-        away = sum(run.ran_away for run in runs)
-        reason = (f"diverged or ran away ({away} ended above their initial SSE)" if away
-                  else "diverged")
-        return DivergenceError(f"all {len(runs)} restarts {reason}")
+        return DivergenceError(f"all {len(runs)} restarts diverged")
     _, index = min(kept)
     best = runs[index]
     return TrainResult(best_net=best.net, best_sse=best.sse, best_restart_index=index,
@@ -554,7 +623,7 @@ def train_multi_restart(
 ) -> TrainResult:
     """Best of ``cfg.restarts`` independent trainings from seeded random
     inits, the restart search of ``_restart_searches`` for one architecture.
-    Raises DivergenceError if every restart diverged or ran away."""
+    Raises DivergenceError if every restart diverged."""
     [result] = _restart_searches([arch], data, cfg)
     if isinstance(result, DivergenceError):
         raise result
@@ -592,7 +661,7 @@ def save_model(net: Mlp, sink):
 def load_model(source) -> Mlp:
     """Load a network saved by save_model, from a path or a text stream."""
     record = _json_object(_read_text(source, "model file"), "model file")
-    _check_tag(record, _MODEL_FORMAT, _MODEL_VERSION, "model", **_MODEL_ACTIVATIONS)
+    _check_tag(record, _MODEL_FORMAT, (_MODEL_VERSION,), "model", **_MODEL_ACTIVATIONS)
 
     def floats(values, what):
         return [_real(v, what) for v in _typed(values, (list,), what)]

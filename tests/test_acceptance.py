@@ -3,7 +3,8 @@ one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s -v``).
 
 The two empirical thresholds (sine-fit RMSE < 0.02 scaled, network beating
 the random walk by a factor of 2 on logistic-map data) were confirmed with
-an independent loop-coded gradient-descent oracle before being pinned here.
+an independent loop-coded gradient-descent oracle before being pinned here,
+and the iRprop− trainer meets them with a wide margin.
 """
 
 import math
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import fxcast.experiment
 import fxcast.mlp
 from fxcast import (
     Architecture,
@@ -142,15 +144,13 @@ def test_c4_fit_capacity_sine():
 
     Oracle run (independent GD implementation): best scaled RMSE 0.0038 at
     lr 5e-4 and 0.0025 at lr 1e-3 within 5000 epochs, so 0.02 is attainable
-    and kept as stated.
+    and kept as stated. iRprop− at its default steps reaches about 0.0005.
     """
     series = synthesize_series("sine", 300, omega=0.1)
     scaler = fit_scaler(series)
     scaled = TimeSeries(series.dates, scaler.apply(series.values), series.name)
     data = make_windows(scaled, 4)
-    cfg = TrainConfig(
-        learning_rate=1e-3, max_epochs=5000, restarts=5, master_seed=4
-    )
+    cfg = TrainConfig(max_epochs=5000, restarts=5, master_seed=4)
     result = train_multi_restart(Architecture(4, 8), data, cfg)
     scaled_rmse = math.sqrt(result.best_sse / len(data))
     verdict(
@@ -164,18 +164,15 @@ def test_c5_beats_random_walk():
     """Best of p=1, h in {6,12} halves the RW RMSE on logistic-map data.
 
     Oracle run (independent GD implementation): net/RW RMSE ratio 0.072 at
-    lr 1e-3, so the 0.5 factor is attainable; this configuration reproduces
-    a ratio well under 0.5 with every h=12 restart escaping the
-    predict-the-mean plateau.
+    lr 1e-3, so the 0.5 factor is attainable; iRprop− at its default steps
+    reaches a ratio of about 0.002.
     """
     series = synthesize_series("logistic_map", 452, r=4.0, x0=0.3)
     train_series, test_series = split_by_count(series, 400, 52)
     grid = GridConfig(
         input_levels=(1,),
         hidden_levels=(6, 12),
-        train_cfg=TrainConfig(
-            learning_rate=1e-3, max_epochs=4000, restarts=15, master_seed=5
-        ),
+        train_cfg=TrainConfig(max_epochs=4000, restarts=15, master_seed=5),
     )
     best = min(
         dict(evaluate_cell(train_series, test_series, 1, h, grid)[0].out_sample)["12m"].rmse
@@ -194,9 +191,7 @@ def test_c6_table_shape_fidelity():
     series = synthesize_series("noisy_ar1", 552, seed=6, y0=5.0)
     train_series, test_series = split_by_count(series, 500, 52)
     grid = GridConfig(
-        train_cfg=TrainConfig(
-            learning_rate=1e-4, max_epochs=3, restarts=1, master_seed=6
-        )
+        train_cfg=TrainConfig(max_epochs=3, restarts=1, master_seed=6)
     )
     report = run_grid(train_series, test_series, grid)
     table = render_table(report, "in_sample")
@@ -234,7 +229,7 @@ def test_c7_multi_restart_contract(monkeypatch):
         h = int(rng.integers(1, 5))
         n = int(rng.integers(2, 11))
         cfg = TrainConfig(
-            learning_rate=float(10 ** rng.uniform(-4, -2)),
+            initial_step=float(10 ** rng.uniform(-4, -1)),
             max_epochs=int(rng.integers(5, 41)),
             restarts=int(rng.integers(2, 7)),
             master_seed=int(rng.integers(1 << 30)),
@@ -281,6 +276,46 @@ def test_c7_multi_restart_contract(monkeypatch):
         checked >= 45 and tied.best_restart_index == 1,
         f"({checked}/50 randomized instances verified, tie resolved to index "
         f"{tied.best_restart_index})",
+    )
+
+
+def _benchmark_series(n, seed):
+    """The series of the sweep benchmark (perfbench): 40 + 5 * (logistic map,
+    r=4, x0=0.3) plus AR(1) noise (phi=0.8, uniform half-width 0.2) drawn
+    from ``seed``."""
+    signal = synthesize_series("logistic_map", n, x0=0.3)
+    noise = synthesize_series("noisy_ar1", n, seed=seed, phi=0.8, sigma=0.2)
+    return TimeSeries(signal.dates, 40.0 + 5.0 * signal.values + noise.values, "benchmark")
+
+
+def test_c9_networks_fit_below_linear_ar():
+    """At the default TrainConfig, the best of 5 restarts of (1, 6), (5, 18)
+    and (10, 30) ends below the SSE of its input level's linear AR(p), least
+    squares with an intercept on the same scaled windows, on the full-scale
+    noisy AR(1) series and on the benchmark's series, N = 1043.
+
+    Gradient descent at its old defaults ended at 10.0x, 2.75x and 2.56x
+    the linear SSE on the AR(1) series: on a plateau that fits nothing a
+    linear model does not. iRprop− ends at about 0.996x, 0.983x and 0.970x
+    there, where the linear model is the true one, and below 0.1x on the
+    benchmark's chaotic series.
+    """
+    ratios = []
+    for name, series in (("noisy_ar1", _full_scale_series()),
+                         ("benchmark", _benchmark_series(1095, 1))):
+        train_series, test_series = split_by_count(series, 1043, 52)
+        for p, h in ((1, 6), (5, 18), (10, 30)):
+            _, data, _ = fxcast.experiment._cell_windows(train_series, test_series, p, True)
+            design = np.column_stack([data.inputs, np.ones(len(data.targets))])
+            coef = np.linalg.lstsq(design, data.targets, rcond=None)[0]
+            resid = data.targets - design @ coef
+            result = train_multi_restart(Architecture(p, h), data, TrainConfig(restarts=5))
+            ratios.append((name, p, h, result.best_sse / float(resid @ resid)))
+    verdict(
+        "C9 networks-fit-below-linear-AR",
+        all(ratio < 1.0 for *_, ratio in ratios),
+        "(best SSE / linear SSE: "
+        + ", ".join(f"{name} ({p}, {h}) {ratio:.4f}" for name, p, h, ratio in ratios) + ")",
     )
 
 

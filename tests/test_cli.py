@@ -38,8 +38,10 @@ def data_file(tmp_path):
     return str(path)
 
 
-FAST = ["--restarts", "2", "--max-epochs", "25", "--learning-rate", "1e-3",
+FAST = ["--restarts", "2", "--max-epochs", "25", "--initial-step", "0.02", "--max-step", "0.5",
         "--test-len", "52"]
+# a draw from +-1e300 overflows every restart's SSE before its first epoch
+DIVERGING = ["--init-half-width", "1e300"]
 
 
 class TestIngest:
@@ -227,7 +229,7 @@ class TestTrain:
     def test_every_restart_diverging_exits_training(self, data_file, tmp_path, capsys):
         out = tmp_path / "model.json"
         code = main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
-                     "--learning-rate", "1e9", "--out", str(out)])
+                     *DIVERGING, "--out", str(out)])
         assert code == EXIT_TRAINING
         assert capsys.readouterr().err == "error: all 2 restarts diverged\n"
         assert not out.exists()
@@ -236,7 +238,7 @@ class TestTrain:
         out = tmp_path / "model.json"
         out.write_text("an older model\n")
         code = main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
-                     "--learning-rate", "1e9", "--out", str(out)])
+                     *DIVERGING, "--out", str(out)])
         assert code == EXIT_TRAINING
         assert out.read_text() == "an older model\n"
         assert main(["train", data_file, "--inputs", "1", "--hidden", "2", *FAST,
@@ -308,7 +310,10 @@ def test_every_training_field_has_its_flag(command, monkeypatch):
 @pytest.mark.parametrize("command", ["grid", "train"])
 @pytest.mark.parametrize("flag, value, code", [
     ("--min-sse-delta", "nan", EXIT_USAGE),
-    ("--learning-rate", "inf", EXIT_USAGE),
+    ("--initial-step", "inf", EXIT_USAGE),
+    ("--max-step", "nan", EXIT_USAGE),
+    ("--max-step", "1e308", EXIT_DATA),  # finite, but 25 epochs of it from the draw are not
+    ("--initial-step", "0.9", EXIT_DATA),  # above --max-step
     ("--init-half-width", "inf", EXIT_USAGE),
     ("--init-half-width", "1e308", EXIT_DATA),  # finite, but its draw range 2 * w is not
 ])
@@ -349,7 +354,7 @@ class TestGrid:
 
     def test_all_cells_failing_exits_training(self, data_file, capsys):
         code = main(["grid", data_file, "--inputs", "1", "--hidden", "2",
-                     "--seed", "1", "--learning-rate", "1e9", "--restarts", "2",
+                     "--seed", "1", *DIVERGING, "--restarts", "2",
                      "--max-epochs", "20", "--test-len", "52", "--workers", "1"])
         assert code == EXIT_TRAINING
         assert "FAILED" in capsys.readouterr().err
@@ -365,19 +370,6 @@ class TestGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: random-walk forecasts over 1m overflow the rmse\n"
-
-    def test_runaway_restarts_fail_every_cell(self, tmp_path, capsys):
-        # every restart of this grid ends finite, with SSEs up to about 1e30,
-        # but above the SSE of its initial network
-        path = tmp_path / "sine.csv"
-        assert main(["synth", "--kind", "sine", "--n", "160", "--seed", "5",
-                     "--out", str(path)]) == EXIT_OK
-        code = main(["grid", str(path), "--inputs", "1..4", "--hidden", "2,3,5", "--seed", "3",
-                     "--workers", "1", "--restarts", "3", "--max-epochs", "30",
-                     "--learning-rate", "0.05"])
-        assert code == EXIT_TRAINING
-        err = capsys.readouterr().err
-        assert err.count("FAILED: all 3 restarts diverged or ran away (3 ended above") == 12
 
     def test_unscaled_sweep(self, data_file, tmp_path, capsys):
         # --no-scale gives one report and one stdout at any worker count, the
@@ -477,8 +469,11 @@ class TestReport:
         ("header", "train_len", -5, "hidden_effect"),
         ("header", "test_len", 0, "out_sample"),
         ("failure", "error", None, "in_sample"),
-        # training values that TrainConfig rejects, as the CLI flags do
+        # training values that TrainConfig rejects, as the CLI flags do, and
+        # a learning rate that the GdTrainConfig of a version 1 header rejects
         ("header", "config.train_cfg.min_sse_delta", float("nan"), "in_sample"),
+        ("header", "config.train_cfg.initial_step", float("inf"), "in_sample"),
+        ("header", "config.train_cfg.max_step", 0.01, "in_sample"),  # below initial_step
         ("header", "config.train_cfg.learning_rate", float("inf"), "in_sample"),
         pytest.param("header", "config.train_cfg.learning_rate", 10**400, "in_sample",
                      id="learning_rate-10**400"),
@@ -489,6 +484,13 @@ class TestReport:
                                  capsys):
         with open(report_file) as handle:
             records = [json.loads(line) for line in handle]
+        if field.endswith("learning_rate"):  # a field of version 1 headers only
+            header = records[0]
+            header["version"] = 1
+            cfg = header["config"]["train_cfg"]
+            header["config"]["train_cfg"] = {"learning_rate": 1e-3, **{
+                key: cfg[key] for key in ("max_epochs", "min_sse_delta", "restarts",
+                                          "init_half_width", "master_seed")}}
         if record_type == "failure":  # the report has none: make its last cell one
             last = records[-1]
             records[-1] = {"type": "failure", "p": last["p"], "h": last["h"], "error": "x"}
@@ -522,7 +524,7 @@ class TestReport:
         with open(report_file) as handle:
             text = handle.read()
         with open(report_file, "w") as handle:
-            handle.write(text.replace('"version": 1', '"version": true', 1))
+            handle.write(text.replace('"version": 2', '"version": true', 1))
         assert main(["report", report_file]) == EXIT_DATA
         assert "version True" in capsys.readouterr().err
 
@@ -548,12 +550,11 @@ class TestReport:
         assert f"# {view}\n{view_out}" in grid_out
 
 
-# runaway: a report with metrics near 1e30, from `fxcast synth --kind sine
-# --n 160 --seed 5`, then `fxcast grid --inputs 1..4 --hidden 2,3,5 --seed 3
-# --restarts 3 --max-epochs 30 --learning-rate 0.05`. fxcast no longer
-# writes it: runaway restarts leave the restart search, and that grid fails
-# every cell (test_runaway_restarts_fail_every_cell). It stays as a
-# rendering fixture. overflow: the same report with
+# runaway: a version 1 report with metrics near 1e30, from `fxcast synth
+# --kind sine --n 160 --seed 5`, then `fxcast grid --inputs 1..4 --hidden
+# 2,3,5 --seed 3 --restarts 3 --max-epochs 30 --learning-rate 0.05` under
+# the gradient descent that fxcast no longer runs. It stays as a rendering
+# fixture of version 1. overflow: the same report with
 # the in-sample MAPE of every p = 2 cell set to 1e308, so that the sum of
 # that level's MAPEs overflows a float. Each comes with the exact text of
 # each view. Reading and rendering call no BLAS and the averages are

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,12 +50,12 @@ from fxcast import (
     train_multi_restart,
 )
 from fxcast import experiment
-from fxcast.experiment import _chunk_schedule
+from fxcast.experiment import GdTrainConfig, _chunk_schedule
 from fxcast.mlp import _BLOCK_BUDGET, _best_restart, _train_block
 
 from conftest import series_of, subprocess_env
 
-FAST_TRAIN = TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2, master_seed=7)
+FAST_TRAIN = TrainConfig(max_epochs=30, restarts=2, master_seed=7)
 SHORT_HORIZONS = HorizonSpec((("1w", 1), ("4w", 4)))
 
 
@@ -336,9 +337,7 @@ class TestRunGrid:
 
     def test_failures_recorded_not_fatal(self, ar_split):
         train_series, test_series = ar_split
-        bad_cfg = TrainConfig(
-            learning_rate=1e9, max_epochs=20, restarts=2, master_seed=1
-        )
+        bad_cfg = TrainConfig(init_half_width=1e300, max_epochs=20, restarts=2, master_seed=1)
         report = run_grid(
             train_series, test_series, small_grid(train_cfg=bad_cfg)
         )
@@ -375,7 +374,7 @@ class TestRunGrid:
         train_series, test_series = ar_split
         grid = small_grid(
             input_levels=tuple(range(1, 13)), hidden_levels=(4, 5, 6, 7, 8),
-            train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=600, restarts=2),
+            train_cfg=TrainConfig(max_epochs=600, restarts=2),
         )
 
         def sweep(fail):
@@ -447,7 +446,7 @@ class TestRunGrid:
         train_series, test_series = ar_split
         grid = small_grid(
             input_levels=tuple(range(1, 11)), hidden_levels=tuple(range(2, 12)),
-            train_cfg=TrainConfig(learning_rate=1e-3, max_epochs=300, restarts=2),
+            train_cfg=TrainConfig(max_epochs=300, restarts=2),
         )
         sizes = [len(widths) for _, widths in _chunk_schedule(grid, 2)]
         fail_at = next(j for j, size in enumerate(sizes) if size > 1)  # single cells before it
@@ -558,7 +557,7 @@ if __name__ == "__main__":
     train, test = fx.split_by_count(series, 110, 10)
     grid = fx.GridConfig(
         input_levels=(1, 2, 3), hidden_levels=(2, 3),
-        train_cfg=fx.TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2, master_seed=7),
+        train_cfg=fx.TrainConfig(max_epochs=30, restarts=2, master_seed=7),
         horizon_spec=fx.HorizonSpec((("1w", 1), ("4w", 4))),
     )
     sinks = {workers: io.StringIO() for workers in (1, 2)}
@@ -573,14 +572,14 @@ if __name__ == "__main__":
 class TestLevelBlocks:
     # run_grid trains the restarts of all hidden widths of one piece of an
     # input level together; evaluate_cell trains the restarts of one width
-    @pytest.mark.parametrize("learning_rate, max_epochs, outcomes", [
-        (3e-3, 200, {"stopped early", "ran to the cap"}),
-        (1e-1, 300, {"all restarts diverged"}),
+    @pytest.mark.parametrize("init_half_width, max_epochs, outcomes", [
+        (0.5, 200, {"stopped early", "ran to the cap"}),
+        (1e300, 300, {"all restarts diverged"}),
     ])
-    def test_cells_equal_evaluate_cell(self, ar_split, learning_rate, max_epochs, outcomes):
+    def test_cells_equal_evaluate_cell(self, ar_split, init_half_width, max_epochs, outcomes):
         train_series, test_series = ar_split
-        cfg = TrainConfig(learning_rate=learning_rate, max_epochs=max_epochs,
-                          min_sse_delta=1e-3, restarts=2, master_seed=11)
+        cfg = TrainConfig(init_half_width=init_half_width, max_epochs=max_epochs,
+                          min_sse_delta=1e-6, restarts=2, master_seed=11)
         grid = small_grid(input_levels=(1, 2, 4), hidden_levels=(2, 3, 5, 8), train_cfg=cfg)
         # each input level's 8 networks fit one block
         rows = sum(2 * (h + 1) for h in grid.hidden_levels)
@@ -613,12 +612,10 @@ class TestLevelBlocks:
         assert outcomes <= seen
 
 
-# restart SSEs grow to about 1e307 in 300 epochs on ar_split: at p = 4 one
-# restart of h = 2 diverges and the other stays finite but runs away, and
-# both restarts of h = 3 diverge
-WILD_TRAIN = TrainConfig(learning_rate=0.02, max_epochs=300, min_sse_delta=1e-3,
-                         restarts=2, master_seed=11)
-RUNAWAY = "all 2 restarts diverged or ran away (1 ended above their initial SSE)"
+HUGE_DRAW = 1e153
+# restarts drawn from +-1e300 overflow their SSEs before any epoch
+DIVERGING_TRAIN = TrainConfig(init_half_width=1e300, max_epochs=300, min_sse_delta=1e-3,
+                              restarts=2, master_seed=11)
 OVERFLOW = "in-sample forecasts overflow the rmse"
 
 
@@ -633,18 +630,19 @@ def overflowing(arch):
 
 class TestRestartSearch:
     # train_multi_restart trains a cell's restarts in shared blocks; it must
-    # pick what _best_restart picks from one train call per restart. At h = 6
-    # and a wide initial draw, two restarts run away by epoch 300 and diverge
-    # by epoch 400 while the other four stop early; at h = 2 every restart
-    # that does not diverge runs away, so none is picked
-    @pytest.mark.parametrize("h, changes, diverged, ran_away", [
-        (6, dict(learning_rate=0.008, init_half_width=20.0, max_epochs=400), 2, 0),
-        (6, dict(learning_rate=0.008, init_half_width=20.0, max_epochs=300), 0, 2),
-        (2, dict(learning_rate=0.02), 3, 3),
-        (2, dict(learning_rate=0.03), 6, 0),
-    ], ids=["wide-400", "wide-300", "0.02-some", "0.03-all"])
-    def test_equals_one_train_per_restart(self, ar_split, h, changes, diverged, ran_away):
-        cfg = dataclasses.replace(WILD_TRAIN, restarts=6, **changes)
+    # pick what _best_restart picks from one train call per restart. From a
+    # wide initial draw the restarts leave at different epochs; from a draw
+    # of 1e153 the SSEs of two restarts overflow, and those of the others
+    # stop at epoch 1, where a move of at most 0.01 leaves every parameter
+    # as it was; from 1e300 every SSE overflows, so none is picked
+    @pytest.mark.parametrize("h, changes, diverged", [
+        (6, dict(init_half_width=20.0, max_epochs=400), 0),
+        (6, dict(init_half_width=20.0, max_epochs=300), 0),
+        (2, dict(init_half_width=HUGE_DRAW), 2),
+        (2, dict(init_half_width=1e300), 6),
+    ], ids=["wide-400", "wide-300", "huge-some", "huge-all"])
+    def test_equals_one_train_per_restart(self, ar_split, h, changes, diverged):
+        cfg = dataclasses.replace(DIVERGING_TRAIN, restarts=6, **changes)
         arch = Architecture(4, h)
         _, data, _ = experiment._cell_windows(*ar_split, 4, True)
         assert cfg.restarts * (arch.hidden_count + 1) * len(data.targets) <= _BLOCK_BUDGET
@@ -653,9 +651,8 @@ class TestRestartSearch:
         runs = [train(net0, data, cfg) for net0 in nets0]
         assert _train_block(nets0, data, cfg) == runs
         assert sum(run.diverged for run in runs) == diverged
-        assert sum(run.ran_away for run in runs) == ran_away
         want = _best_restart(runs)
-        if diverged + ran_away < cfg.restarts:
+        if diverged < cfg.restarts:
             assert train_multi_restart(arch, data, cfg) == want
         else:
             with pytest.raises(DivergenceError, match=f"^{re.escape(str(want))}$"):
@@ -707,17 +704,6 @@ class TestLevelScoring:
             evaluate_cell(train_series, test_series, 4, 2, grid)
 
     @pytest.mark.filterwarnings("error")
-    def test_runaway_restarts_fail_their_cell(self, ar_split):
-        train_series, test_series = ar_split
-        grid = small_grid(input_levels=(4,), hidden_levels=(2, 3), train_cfg=WILD_TRAIN)
-        report = run_grid(train_series, test_series, grid)
-        assert report.cells == ()
-        assert report.failures == (CellFailure(p=4, h=2, error=RUNAWAY),
-                                   CellFailure(p=4, h=3, error="all 2 restarts diverged"))
-        with pytest.raises(DivergenceError, match=re.escape(RUNAWAY)):
-            evaluate_cell(train_series, test_series, 4, 2, grid)
-
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("zero_at", [None, 2])
     def test_items_equal_evaluate_cell(self, ar_split, monkeypatch, zero_at):
         train_series, test_series = ar_split
@@ -730,12 +716,12 @@ class TestLevelScoring:
         train_multi_restart = experiment.train_multi_restart
 
         def per_width(arch, data, train_cfg):
-            # h = 2 wins with forecasts that overflow, h = 3 ends as at
-            # WILD_TRAIN, and the others train normally
+            # h = 2 wins with forecasts that overflow, h = 3 diverges, and
+            # the others train normally
             if arch.hidden_count == 2:
                 return overflowing(arch)
             return train_multi_restart(arch, data,
-                                       WILD_TRAIN if arch.hidden_count == 3 else train_cfg)
+                                       DIVERGING_TRAIN if arch.hidden_count == 3 else train_cfg)
 
         monkeypatch.setattr(experiment, "train_multi_restart", per_width)
         windows = experiment._cell_windows(train_series, test_series, 4, grid.scale)
@@ -845,7 +831,7 @@ class TestReportPersistence:
         for _ in range(30):
             inputs = tuple(range(1, int(rng.integers(2, 5))))
             hidden = tuple(sorted(rng.choice(np.arange(1, 9), int(rng.integers(1, 4)), False)))
-            cfg = TrainConfig(learning_rate=int(rng.integers(1, 3)), max_epochs=np.int64(5),
+            cfg = TrainConfig(max_step=int(rng.integers(1, 3)), max_epochs=np.int64(5),
                               init_half_width=np.float32(0.25), master_seed=np.int64(3))
             grid = GridConfig(input_levels=inputs, hidden_levels=hidden, train_cfg=cfg,
                               horizon_spec=SHORT_HORIZONS)
@@ -893,9 +879,42 @@ class TestReportPersistence:
         report = run_grid(train_series, test_series, small_grid())
         buffer = io.StringIO()
         save_report(report, buffer)
-        text = buffer.getvalue().replace('"version": 1', '"version": 42', 1)
+        text = buffer.getvalue().replace('"version": 2', '"version": 42', 1)
         with pytest.raises(ReportVersionError):
             load_report(io.StringIO(text))
+
+    def test_version_1_report_saves_as_it_was(self, ar_split):
+        # a version 1 report names gradient descent's settings; it loads
+        # with them, renders, and saves back byte for byte as version 1,
+        # but trains nothing
+        path = Path(__file__).parent / "data" / "runaway.fxr"
+        report = load_report(path)
+        cfg = report.config.train_cfg
+        assert cfg == GdTrainConfig(learning_rate=0.05, max_epochs=30, restarts=3,
+                                    master_seed=3)
+        saved = io.StringIO()
+        save_report(report, saved)
+        assert saved.getvalue() == path.read_text()
+        grid = dataclasses.replace(report.config, horizon_spec=SHORT_HORIZONS)
+        with pytest.raises(DataError, match="is not a TrainConfig"):
+            run_grid(*ar_split, grid, sink=io.StringIO())
+        with pytest.raises(DataError, match="is not a TrainConfig"):
+            evaluate_cell(*ar_split, 1, 2, grid)
+
+    @pytest.mark.parametrize("version, field", [(1, "initial_step"), (2, "learning_rate")])
+    def test_header_holds_its_versions_fields(self, ar_split, version, field):
+        # a header names exactly the settings of its version's trainer
+        report = run_grid(*ar_split, small_grid(input_levels=(1,), hidden_levels=(2,)))
+        buffer = io.StringIO()
+        save_report(report, buffer)
+        header, *records = buffer.getvalue().splitlines(keepends=True)
+        record = json.loads(header)
+        record["version"] = version
+        if version == 1:
+            record["config"]["train_cfg"] = dataclasses.asdict(GdTrainConfig(master_seed=7))
+        record["config"]["train_cfg"][field] = 0.5
+        with pytest.raises(ReportFormatError, match="corrupt report header: train_cfg fields"):
+            load_report(io.StringIO(json.dumps(record) + "\n" + "".join(records)))
 
     def test_not_a_report_rejected(self):
         with pytest.raises(ReportFormatError):
@@ -962,7 +981,7 @@ class TestReportPersistence:
             load_report(io.StringIO(text))
 
     def test_every_train_config_field_round_trips(self, ar_split, tmp_path):
-        cfg = TrainConfig(learning_rate=3e-3, max_epochs=7, min_sse_delta=1e-7,
+        cfg = TrainConfig(initial_step=3e-3, max_step=0.5, max_epochs=7, min_sse_delta=1e-7,
                           restarts=1, init_half_width=0.25, master_seed=12)
         defaults = TrainConfig()
         names = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -973,14 +992,14 @@ class TestReportPersistence:
         path = tmp_path / "report.fxr"
         save_report(report, path)
         header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == 2
         assert list(header["config"]["train_cfg"]) == names
         assert load_report(path).config.train_cfg == cfg
 
     def test_numpy_integers_round_trip(self, ar_split):
         # a config built from numpy integers streams a report that reads back
         train_series, test_series = ar_split
-        cfg = TrainConfig(learning_rate=1e-3, max_epochs=30, restarts=2,
-                          master_seed=np.int64(3))
+        cfg = TrainConfig(max_epochs=30, restarts=2, master_seed=np.int64(3))
         grid = small_grid(input_levels=np.arange(1, 3), hidden_levels=(2,), train_cfg=cfg)
         buffer = io.StringIO()
         report = run_grid(train_series, test_series, grid, sink=buffer)
@@ -990,14 +1009,13 @@ class TestReportPersistence:
         assert loaded == report
 
     @pytest.mark.parametrize("field, value", [
-        pytest.param("learning_rate", np.float32(1e-3), id="float32"),
-        pytest.param("learning_rate", np.float16(1e-3), id="float16"),
+        pytest.param("initial_step", np.float32(1e-3), id="float32"),
+        pytest.param("initial_step", np.float16(1e-3), id="float16"),
         pytest.param("init_half_width", np.int64(1), id="int64"),
     ])
     def test_numpy_scalars_in_float_fields_round_trip(self, ar_split, field, value):
         # stored as a Python float, which json can write
-        cfg = TrainConfig(**{"learning_rate": 1e-3, "max_epochs": 30, "restarts": 2,
-                             field: value})
+        cfg = TrainConfig(**{"max_epochs": 30, "restarts": 2, field: value})
         assert type(getattr(cfg, field)) is float and getattr(cfg, field) == float(value)
         train_series, test_series = ar_split
         grid = small_grid(input_levels=(1,), hidden_levels=(2,), train_cfg=cfg)
@@ -1010,7 +1028,7 @@ class TestReportPersistence:
 
     def test_failures_round_trip(self, ar_split):
         train_series, test_series = ar_split
-        bad_cfg = TrainConfig(learning_rate=1e9, max_epochs=20, restarts=2, master_seed=1)
+        bad_cfg = TrainConfig(init_half_width=1e300, max_epochs=20, restarts=2, master_seed=1)
         report = run_grid(train_series, test_series, small_grid(train_cfg=bad_cfg))
         buffer = io.StringIO()
         save_report(report, buffer)
@@ -1044,8 +1062,13 @@ class TestReportPersistence:
                  id="value_col-str"),
     pytest.param(lambda: ColumnFormat(date_col=1.5), "date_col 1.5 is not an integer",
                  id="date_col-1.5"),
-    pytest.param(lambda: TrainConfig(learning_rate="0.1"), "learning_rate '0.1' is not a number",
+    pytest.param(lambda: TrainConfig(initial_step="0.1"), "initial_step '0.1' is not a number",
+                 id="initial_step-str"),
+    # the training settings of a version 1 report
+    pytest.param(lambda: GdTrainConfig(learning_rate="0.1"), "learning_rate '0.1' is not a number",
                  id="learning_rate-str"),
+    pytest.param(lambda: GridConfig(train_cfg={"restarts": 2}), "train_cfg {'restarts': 2} is not",
+                 id="train_cfg-dict"),
     pytest.param(lambda: GridConfig(input_levels=5), "input_levels 5 is not a sequence",
                  id="input_levels-int"),
     pytest.param(lambda: GridConfig(hidden_levels=None), "hidden_levels None is not a sequence",

@@ -147,8 +147,7 @@ RECORDS = {
     "Gradient": (Gradient, _layers, dict(output_bias=0.6)),
     "TrainRun": (TrainRun, lambda: dict(net=_net(), sse=1.0, sse_trace=np.array([2.0, 1.0]),
                                         diverged=False),
-                 dict(net=dataclasses.replace(_net(), output_bias=0.6), sse=1.5, diverged=True,
-                      ran_away=True)),
+                 dict(net=dataclasses.replace(_net(), output_bias=0.6), sse=1.5, diverged=True)),
     "TrainResult": (TrainResult,
                     lambda: dict(best_net=_net(), best_sse=1.0, best_restart_index=0,
                                  epochs_run=2, sse_trace=np.array([2.0, 1.0])),
